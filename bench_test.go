@@ -223,12 +223,8 @@ func BenchmarkEstimateWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkLongestPath isolates the critical-path phase of an estimate: the
-// serial oracle sweep against the level-partitioned parallel relaxation
-// (forced to 4 workers, and at the machine's automatic setting). On a
-// single-core host the auto dispatcher stays serial and Parallel4 mostly
-// measures coordination overhead; the ≥1.5× target applies at
-// GOMAXPROCS ≥ 4.
+// BenchmarkLongestPath isolates the critical-path phase of an estimate: one
+// O(|V|+|E|) sweep over the QODG in topological order.
 func BenchmarkLongestPath(b *testing.B) {
 	names := []string{"gf2^128mult"}
 	if !testing.Short() {
@@ -254,32 +250,14 @@ func BenchmarkLongestPath(b *testing.B) {
 				}
 			}
 		})
-		b.Run("Parallel4/"+sanitize(name), func(b *testing.B) {
-			s := new(qodg.PathScratch)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.LongestPathParallel(w, s, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("Auto/"+sanitize(name), func(b *testing.B) {
-			s := new(qodg.PathScratch)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.LongestPathInto(w, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 // BenchmarkLongestPathMulti isolates the multi-weight kernel against its
 // per-column serial baseline: K columns relaxed in one adjacency traversal
 // (SoA dist/from slabs) versus K separate LongestPathSerial sweeps that each
-// stream the graph again. The win is memory-bound — the adjacency and level
-// index are read once instead of K times — so it holds on a single core.
+// stream the graph again. The win is memory-bound — the adjacency is read
+// once instead of K times — so it holds on a single core.
 func BenchmarkLongestPathMulti(b *testing.B) {
 	c := ftCircuit(b, "gf2^128mult")
 	g, err := qodg.Build(c)
@@ -376,29 +354,6 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 		}
 	})
-	// Forced shard gangs regardless of GOMAXPROCS or the auto-dispatch
-	// threshold: on a single-core host this is the stitch-overhead bound
-	// (the gang serializes, leaving only the sharding bookkeeping), on a
-	// multi-core host the speedup claim.
-	for _, shards := range []int{2, 4} {
-		b.Run(fmt.Sprintf("ShardedCSR%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := analysis.AnalyzeSharded(c, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("ShardedArena4", func(b *testing.B) {
-		b.ReportAllocs()
-		ar := analysis.NewArena()
-		for i := 0; i < b.N; i++ {
-			if _, err := ar.AnalyzeSharded(c, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("TwoPassCSR", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -481,25 +436,6 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 				a, err := analysis.AnalyzeStream(sc)
 				return a, err
 			}), "retained-B")
-		})
-		b.Run("StreamedSharded4/"+name, func(b *testing.B) {
-			// Forced 4-way sharded second pass over checkpointed spool
-			// segments, independent of GOMAXPROCS and the dispatch
-			// threshold (see BenchmarkAnalyze/ShardedCSR*).
-			saved := analysis.ShardThreshold
-			analysis.ShardThreshold = 1
-			defer func() { analysis.ShardThreshold = saved }()
-			ar := analysis.NewArena()
-			ar.MaxShards = 4
-			b.ReportAllocs()
-			b.SetBytes(int64(len(qc)))
-			for i := 0; i < b.N; i++ {
-				sc := ingest.NewScanner(bytes.NewReader(qc), name, ingest.Options{})
-				if _, err := ar.AnalyzeStream(sc); err != nil {
-					b.Fatal(err)
-				}
-				sc.Close()
-			}
 		})
 	}
 }
@@ -893,8 +829,8 @@ func BenchmarkGenerate(b *testing.B) {
 // suite, LEQA's estimate must land within 35% of this repository's QSPR on
 // every benchmark and within 12% on average (the paper reports 2.11% avg /
 // 8.29% max against its own mapper; our from-scratch mapper tracks the
-// estimator less tightly on the high-degree gf2 family — see
-// EXPERIMENTS.md).
+// estimator less tightly on the high-degree gf2 family — run
+// `go run ./cmd/experiments -table 2` for the per-benchmark errors).
 func TestTable2Accuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run skipped in -short mode")

@@ -81,28 +81,13 @@ func Restore(name string, qubits, operations int, ft bool, g *qodg.Graph, ig *ii
 // (*Arena).Analyze runs the identical pass into recycled buffers for the
 // steady-state worker loops.
 func Analyze(c *circuit.Circuit) (*Analysis, error) {
-	return analyze(c, nil)
-}
-
-// analyze dispatches the fused pass: circuits at or above ShardThreshold
-// with a multi-worker budget take the shard-parallel builder, everything
-// else the serial one. Both produce bitwise-identical analyses.
-func analyze(c *circuit.Circuit, ar *Arena) (*Analysis, error) {
-	if k := planShards(len(c.Gates), shardBudget(ar)); k > 1 {
-		if ar != nil {
-			ar.cuts = evenCutsInto(ar.cuts, len(c.Gates), k)
-			return analyzeShardedCuts(c, ar, ar.cuts)
-		}
-		return analyzeShardedCuts(c, nil, evenCutsInto(nil, len(c.Gates), k))
-	}
-	return analyzeSerial(c, ar)
+	return analyzeSerial(c, nil)
 }
 
 // analyzeSerial is the shared fused pass. With a nil arena it allocates
 // fresh immutable storage (the package-level Analyze contract); with an
 // arena it reuses the arena's buffers and graph headers, producing a
-// borrowed Analysis that stays valid until the arena's next use. Retained
-// unconditionally as the oracle the sharded builder is tested against.
+// borrowed Analysis that stays valid until the arena's next use.
 func analyzeSerial(c *circuit.Circuit, ar *Arena) (*Analysis, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -161,19 +161,51 @@ func TestEstimateMatchesReferenceGraphs(t *testing.T) {
 	}
 }
 
+// cnotRing is a valid all-CNOT circuit for the error-path tests to corrupt.
+func cnotRing(n, numQ int) *circuit.Circuit {
+	c := circuit.New("err", numQ)
+	for i := 0; i < n; i++ {
+		c.Append(circuit.NewCNOT(i%numQ, (i+1)%numQ))
+	}
+	return c
+}
+
+// TestAnalyzeRejectsWideGates checks the arity rejection names the first
+// wide gate, on both the fresh and the arena path.
 func TestAnalyzeRejectsWideGates(t *testing.T) {
-	c := circuit.New("wide", 3)
-	c.Append(circuit.NewToffoli(0, 1, 2))
-	if _, err := analysis.Analyze(c); err == nil {
-		t.Error("want error for 3-qubit gate")
+	c := cnotRing(100, 4)
+	c.Gates[70] = circuit.NewToffoli(0, 1, 2)
+	const want = "analysis: gate 70 (TOF) touches 3 qubits; decompose first"
+	if _, err := analysis.Analyze(c); err == nil || err.Error() != want {
+		t.Errorf("Analyze: error %v, want %q", err, want)
+	}
+	if _, err := analysis.NewArena().Analyze(c); err == nil || err.Error() != want {
+		t.Errorf("Arena.Analyze: error %v, want %q", err, want)
 	}
 }
 
+// TestAnalyzeRejectsInvalidCircuit checks an invalid operand is reported
+// as Circuit.Validate reports it, and that validation outranks arity: a
+// late invalid gate wins over an earlier wide one, because the whole
+// circuit is validated before the scan meets any gate.
 func TestAnalyzeRejectsInvalidCircuit(t *testing.T) {
-	c := circuit.New("bad", 2)
-	c.Append(circuit.Gate{Type: circuit.CNOT, Controls: []int{0}, Targets: []int{5}})
-	if _, err := analysis.Analyze(c); err == nil {
-		t.Error("want validation error for out-of-range operand")
+	bad := circuit.Gate{Type: circuit.CNOT, Controls: []int{0}, Targets: []int{99}}
+	invalid := cnotRing(100, 4)
+	invalid.Gates[70] = bad
+	both := cnotRing(100, 4)
+	both.Gates[10] = circuit.NewToffoli(0, 1, 2)
+	both.Gates[90] = bad
+	for _, c := range []*circuit.Circuit{invalid, both} {
+		want := c.Validate()
+		if want == nil {
+			t.Fatal("corrupted circuit validates")
+		}
+		if _, err := analysis.Analyze(c); err == nil || err.Error() != want.Error() {
+			t.Errorf("Analyze: error %v, want %v", err, want)
+		}
+		if _, err := analysis.NewArena().Analyze(c); err == nil || err.Error() != want.Error() {
+			t.Errorf("Arena.Analyze: error %v, want %v", err, want)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Arena is the reusable scratch state of the estimate hot path: every
 // buffer Analyze and the critical-path sweep would otherwise allocate per
 // call — node array, degree arrays, CSR adjacency, DepScanner state, IIG
-// incidence, the weight vector and the longest-path dist/from/level index —
+// incidence, the weight vector and the longest-path dist/from vectors —
 // owned once and recycled across circuits. A zero Arena is ready to use;
 // buffers grow to the largest circuit seen and stay warm, so a steady-state
 // worker analyzes and estimates with near-zero heap allocation.
@@ -20,14 +20,6 @@ import (
 // Analyze on the same arena; estimator Results derived from it do not alias
 // the arena and stay valid forever.
 type Arena struct {
-	// MaxShards caps the shard count of the parallel analysis build for
-	// calls through this arena; 0 means GOMAXPROCS, 1 forces the serial
-	// pass. leqa.Runner sets it (together with Path().MaxWorkers) to the
-	// arena's share of the cores, so pool concurrency and shard gangs
-	// divide the machine instead of multiplying against it. Purely a
-	// performance knob — results are bitwise identical at every setting.
-	MaxShards int
-
 	scan             qodg.DepScanner
 	nodes            []qodg.Node
 	succDeg, predDeg []int32
@@ -40,14 +32,6 @@ type Arena struct {
 	igs        iig.Scratch
 	a          Analysis
 	lastWriter []qodg.NodeID
-
-	// Per-shard scratch of the parallel build: one sub-arena per shard
-	// (scanner, boundary records) plus the merged last-writer seed and the
-	// shard cut table, all recycled so the sharded pass stays at the serial
-	// arena path's steady-state allocation count.
-	shards []shardScratch
-	seed   []qodg.NodeID
-	cuts   []int
 
 	weights qodg.Weights
 	multiW  []float64
@@ -63,7 +47,7 @@ func NewArena() *Arena { return new(Arena) }
 // arena. The returned Analysis (and both its graphs) aliases arena memory —
 // treat it as borrowed until the next Analyze on this arena.
 func (ar *Arena) Analyze(c *circuit.Circuit) (*Analysis, error) {
-	return analyze(c, ar)
+	return analyzeSerial(c, ar)
 }
 
 // WeightsFor builds the node weight vector for g in the arena's reusable

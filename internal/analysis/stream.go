@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/csr"
@@ -66,25 +64,6 @@ func (s *CircuitStream) Name() string       { return s.c.Name }
 // names from a materialized stream.
 func (s *CircuitStream) Register() *circuit.Circuit { return s.c }
 
-// SegmentedStream is a GateStream that can replay itself as concurrent
-// contiguous segments — the capability the shard-parallel fill pass of
-// AnalyzeStream needs. Sources that can seek (materialized circuits,
-// on-disk or spooled .qc files) implement it; AnalyzeStream falls back to
-// the serial replay for everything else.
-type SegmentedStream interface {
-	GateStream
-	// Segments splits the remaining replay into at most max contiguous
-	// segments, returning one independent GateStream per segment plus the
-	// cut table: segment i covers gates [cuts[i], cuts[i+1]), cuts[0] = 0
-	// and cuts[len(segments)] = the total gate count. The segment streams
-	// must be safe to consume from distinct goroutines concurrently. A
-	// (nil, nil, nil) return means the source cannot segment right now
-	// (e.g. a pipe not yet fully spooled) and the caller should replay
-	// serially. Segments is only meaningful after a full pass has fixed
-	// the stream's size.
-	Segments(max int) ([]GateStream, []int, error)
-}
-
 // PrevalidatedStream is an optional GateStream capability: a stream whose
 // Scan contract guarantees that every yielded gate already passes
 // circuit.Gate.Validate against the stream's register. The ingest text
@@ -106,42 +85,6 @@ type PrevalidatedStream interface {
 func gatesPrevalidated(src GateStream) bool {
 	p, ok := src.(PrevalidatedStream)
 	return ok && p.PrevalidatedGates()
-}
-
-// circuitSegment is CircuitStream's segment: a window [lo, hi) of the gate
-// list with its own cursor, so segments advance independently.
-type circuitSegment struct {
-	c      *circuit.Circuit
-	lo, hi int
-	i      int
-}
-
-func (s *circuitSegment) Scan() bool {
-	if s.i+1 >= s.hi {
-		return false
-	}
-	s.i++
-	return true
-}
-
-func (s *circuitSegment) Gate() circuit.Gate { return s.c.Gates[s.i] }
-func (s *circuitSegment) Err() error         { return nil }
-func (s *circuitSegment) Rewind() error      { s.i = s.lo - 1; return nil }
-func (s *circuitSegment) NumQubits() int     { return s.c.NumQubits() }
-func (s *circuitSegment) Name() string       { return s.c.Name }
-
-// Segments implements SegmentedStream with even cuts over the gate list.
-func (s *CircuitStream) Segments(max int) ([]GateStream, []int, error) {
-	n := len(s.c.Gates)
-	if max < 1 {
-		max = 1
-	}
-	cuts := evenCutsInto(nil, n, max)
-	segs := make([]GateStream, max)
-	for i := range segs {
-		segs[i] = &circuitSegment{c: s.c, lo: cuts[i], hi: cuts[i+1], i: cuts[i] - 1}
-	}
-	return segs, cuts, nil
 }
 
 // AnalyzeStream is analysis.Analyze over a gate stream: the identical
@@ -171,13 +114,6 @@ func (ar *Arena) AnalyzeStream(src GateStream) (*Analysis, error) {
 // pass (degrees, IIG incidence counts, FT tracking, validation), offsets,
 // fill pass (nodes, CSR adjacency, IIG incidence), assembly.
 func analyzeStream(src GateStream, ar *Arena) (*Analysis, error) {
-	return analyzeStreamK(src, ar, 0)
-}
-
-// analyzeStreamK is analyzeStream with a forced fill-pass shard count:
-// 0 auto-dispatches through planShards, anything larger bypasses the
-// thresholds (the equivalence suite's hook).
-func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 	var (
 		succDeg, predDeg, iigDeg []int32
 		scan                     *qodg.DepScanner
@@ -259,76 +195,51 @@ func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 	nodes[0] = qodg.Node{ID: 0, GateIndex: -1}
 	nodes[n-1] = qodg.Node{ID: end, GateIndex: -1}
 
-	// Sharded fill pass: a segmentable source replays as concurrent
-	// contiguous segments — the counting pass has already fixed the gate
-	// count, register size and every row offset, so the fill shards exactly
-	// like the materialized builder's. Serial replay remains the fallback
-	// for non-segmentable sources and below-threshold circuits.
-	sharded := false
-	if seg, ok := src.(SegmentedStream); ok {
-		k := forceK
-		if k == 0 {
-			k = planShards(nGates, shardBudget(ar))
-		}
-		if k > 1 {
-			done, err := fillStreamSharded(seg, ar, k, nGates, numQ, nodes, succDeg, predDeg, predOff, succ, pred, iigDeg, iigNbr, scan)
-			if err != nil {
-				return nil, err
-			}
-			sharded = done
-		}
+	// Fill pass over the replayed stream.
+	if err := src.Rewind(); err != nil {
+		return nil, err
 	}
-	if !sharded {
-		// Fill pass over the serially replayed stream.
-		if err := src.Rewind(); err != nil {
-			return nil, err
-		}
-		scan.ResetFor(numQ)
-		fill := func(from, to qodg.NodeID) {
-			succ[succDeg[from]] = to
-			succDeg[from]++
-			pred[predDeg[to]] = from
-			predDeg[to]++
-		}
-		filled := 0
-		for src.Scan() {
-			g := src.Gate()
-			if filled >= nGates {
-				return nil, replayError(src, nGates)
-			}
-			if err := validateStreamGate(src, filled, g, numQ, trusted); err != nil {
-				return nil, err
-			}
-			id := qodg.NodeID(filled + 1)
-			// Operand-free node: the estimate phase reads only the gate type
-			// (weights, critical-path counts), so the Controls/Targets heap a
-			// materialized gate list retains is simply never built.
-			nodes[filled+1] = qodg.Node{ID: id, Op: circuit.Gate{Type: g.Type}, GateIndex: filled}
-			if g.Arity() == 2 {
-				a, b := g.QubitPair()
-				iigNbr[iigDeg[a]] = int32(b)
-				iigDeg[a]++
-				iigNbr[iigDeg[b]] = int32(a)
-				iigDeg[b]++
-			}
-			scan.VisitGate(id, g, fill)
-			filled++
-		}
-		if err := src.Err(); err != nil {
-			return nil, err
-		}
-		if filled != nGates || src.NumQubits() != numQ {
+	scan.ResetFor(numQ)
+	fill := func(from, to qodg.NodeID) {
+		succ[succDeg[from]] = to
+		succDeg[from]++
+		pred[predDeg[to]] = from
+		predDeg[to]++
+	}
+	filled := 0
+	for src.Scan() {
+		g := src.Gate()
+		if filled >= nGates {
 			return nil, replayError(src, nGates)
 		}
-		scan.VisitEnd(end, fill)
+		if err := validateStreamGate(src, filled, g, numQ, trusted); err != nil {
+			return nil, err
+		}
+		id := qodg.NodeID(filled + 1)
+		// Operand-free node: the estimate phase reads only the gate type
+		// (weights, critical-path counts), so the Controls/Targets heap a
+		// materialized gate list retains is simply never built.
+		nodes[filled+1] = qodg.Node{ID: id, Op: circuit.Gate{Type: g.Type}, GateIndex: filled}
+		if g.Arity() == 2 {
+			a, b := g.QubitPair()
+			iigNbr[iigDeg[a]] = int32(b)
+			iigDeg[a]++
+			iigNbr[iigDeg[b]] = int32(a)
+			iigDeg[b]++
+		}
+		scan.VisitGate(id, g, fill)
+		filled++
 	}
+	if err := src.Err(); err != nil {
+		return nil, err
+	}
+	if filled != nGates || src.NumQubits() != numQ {
+		return nil, replayError(src, nGates)
+	}
+	scan.VisitEnd(end, fill)
 
 	if ar != nil {
-		if sharded {
-			qodg.FromCSRSortedInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
-		} else {
-			qodg.FromCSRInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
-		}
+		qodg.FromCSRInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
 		ar.lastWriter = append(ar.lastWriter[:0], scan.Last()...)
 		ar.a = Analysis{
 			Name:       src.Name(),
@@ -341,175 +252,15 @@ func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 		}
 		return &ar.a, nil
 	}
-	var g *qodg.Graph
-	if sharded {
-		g = new(qodg.Graph)
-		qodg.FromCSRSortedInto(g, nodes, numQ, succOff, succ, predOff, pred)
-	} else {
-		g = qodg.FromCSR(nodes, numQ, succOff, succ, predOff, pred)
-	}
 	return &Analysis{
 		Name:       src.Name(),
 		Qubits:     numQ,
 		Operations: nGates,
 		FT:         ft,
-		QODG:       g,
+		QODG:       qodg.FromCSR(nodes, numQ, succOff, succ, predOff, pred),
 		IIG:        iig.FromIncidence(numQ, iigOff, iigNbr),
 		lastWriter: append([]qodg.NodeID(nil), scan.Last()...),
 	}, nil
-}
-
-// fillStreamSharded is the shard-parallel fill pass of analyzeStream: one
-// goroutine per stream segment runs the same scan as the serial replay with
-// shard-local pending-seeded last-writer state, in-shard edges land directly
-// in the CSR cursors (disjoint row ranges — no races), and the serial stitch
-// resolves boundary edges exactly like the materialized sharded builder.
-// Unlike that builder the row offsets already exist (the serial counting
-// pass produced them), so the stitch only replays fills, and a final check
-// that the merged last-writer state equals the counting pass's state guards
-// the whole fill against a stream that replays differently. Returns false
-// (no error) when the source declines to segment, leaving the serial
-// fallback to run.
-func fillStreamSharded(src SegmentedStream, ar *Arena, k, nGates, numQ int,
-	nodes []qodg.Node, succDeg, predDeg, predOff []int32, succ, pred []qodg.NodeID,
-	iigDeg, iigNbr []int32, scan *qodg.DepScanner) (bool, error) {
-	segs, cuts, err := src.Segments(k)
-	if err != nil {
-		return false, err
-	}
-	if segs == nil {
-		return false, nil
-	}
-	k = len(segs)
-	if k < 1 || len(cuts) != k+1 || cuts[0] != 0 || cuts[k] != nGates {
-		return false, replayError(src, nGates)
-	}
-	for i := 0; i < k; i++ {
-		if cuts[i] > cuts[i+1] {
-			return false, replayError(src, nGates)
-		}
-	}
-
-	var (
-		shards []shardScratch
-		seed   []qodg.NodeID
-	)
-	if ar != nil {
-		if cap(ar.shards) < k {
-			ar.shards = make([]shardScratch, k)
-		}
-		ar.shards = ar.shards[:k]
-		shards = ar.shards
-		ar.seed = csr.Grow(ar.seed, numQ)
-		seed = ar.seed
-	} else {
-		shards = make([]shardScratch, k)
-		seed = make([]qodg.NodeID, numQ)
-	}
-
-	g := newGang(k)
-	defer g.close()
-	g.run(func(si int) {
-		sc := &shards[si]
-		sc.reset(numQ)
-		fill := func(from, to qodg.NodeID) {
-			if qodg.IsPending(from) {
-				sc.recs = append(sc.recs, boundaryRec{from: from, to: to})
-				return
-			}
-			succ[succDeg[from]] = to
-			succDeg[from]++
-			pred[predDeg[to]] = from
-			predDeg[to]++
-		}
-		s := segs[si]
-		i := cuts[si]
-		trusted := gatesPrevalidated(s)
-		for s.Scan() {
-			g := s.Gate()
-			if i >= cuts[si+1] {
-				sc.valErr = replayError(src, nGates)
-				return
-			}
-			if err := validateStreamGate(src, i, g, numQ, trusted); err != nil {
-				sc.valErr = err
-				return
-			}
-			id := qodg.NodeID(i + 1)
-			nodes[i+1] = qodg.Node{ID: id, Op: circuit.Gate{Type: g.Type}, GateIndex: i}
-			if g.Arity() == 2 {
-				a, b := g.QubitPair()
-				iigNbr[atomic.AddInt32(&iigDeg[a], 1)-1] = int32(b)
-				iigNbr[atomic.AddInt32(&iigDeg[b], 1)-1] = int32(a)
-			}
-			sc.scan.VisitGate(id, g, fill)
-			i++
-		}
-		if err := s.Err(); err != nil {
-			sc.valErr = err
-			return
-		}
-		if i != cuts[si+1] {
-			sc.valErr = replayError(src, nGates)
-		}
-	})
-	// The counting pass validated every gate, so any shard error here means
-	// the replay diverged; shards cover ascending ranges, so the first
-	// erring shard holds the earliest failure — the serial replay's answer.
-	for i := range shards {
-		if err := shards[i].valErr; err != nil {
-			return false, err
-		}
-	}
-
-	// Boundary stitch: resolve each shard's records against the merged
-	// last-writer state of the shards before it, drop per-gate duplicates,
-	// and replay the fills in shard order — later shards append strictly
-	// larger targets, preserving the serial ascending row order. The row
-	// slots already exist: the serial counting pass counted these exact
-	// edges.
-	clear(seed[:numQ])
-	prev := boundaryRec{from: -1, to: -1}
-	for si := range shards {
-		sc := &shards[si]
-		for _, r := range sc.recs {
-			r.from = seed[qodg.PendingQubit(r.from)]
-			if r == prev {
-				continue
-			}
-			prev = r
-			succ[succDeg[r.from]] = r.to
-			succDeg[r.from]++
-			pred[predDeg[r.to]] = r.from
-			predDeg[r.to]++
-		}
-		for q, l := range sc.scan.Last() {
-			if !qodg.IsPending(l) {
-				seed[q] = l
-			}
-		}
-	}
-
-	// The merged state must reproduce the counting pass's final state; a
-	// faithful replay guarantees it, anything else is a broken stream.
-	if !slices.Equal(seed[:numQ], scan.Last()) {
-		return false, replayError(src, nGates)
-	}
-	fill := func(from, to qodg.NodeID) {
-		succ[succDeg[from]] = to
-		succDeg[from]++
-		pred[predDeg[to]] = from
-		predDeg[to]++
-	}
-	scan.VisitEnd(qodg.NodeID(nGates+1), fill)
-
-	// Predecessor rows sort in parallel chunks; the caller assembles with
-	// the no-resort constructor.
-	n := nGates + 2
-	g.run(func(si int) {
-		qodg.SortPredRange(predOff, pred, si*n/k, (si+1)*n/k)
-	})
-	return true, nil
 }
 
 // validateStreamGate applies the per-gate checks the materialized path gets

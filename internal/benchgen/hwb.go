@@ -24,7 +24,8 @@ import (
 // Gate counts after FT decomposition track the paper's hwb rows closely
 // (e.g. n=200 → ≈175k ops vs the paper's 175,490); the paper's netlists
 // carry far more ancilla qubits because their flow expanded multi-control
-// gates without any sharing — EXPERIMENTS.md tabulates the difference.
+// gates without any sharing — `go run ./cmd/experiments -table 3` lists
+// both qubit counts side by side.
 func HWB(n int) (*circuit.Circuit, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("benchgen: hwb needs n ≥ 2, got %d", n)

@@ -66,25 +66,6 @@ func (p *LineParser) Rewind() {
 	p.inBody = false
 }
 
-// Line reports the 1-based number of lines consumed since construction or
-// the last Rewind.
-func (p *LineParser) Line() int { return p.lineno }
-
-// InBody reports whether the parser is inside the BEGIN/END gate body.
-func (p *LineParser) InBody() bool { return p.inBody }
-
-// ForkAt returns an independent parser positioned mid-stream: line lines
-// already consumed, the given BEGIN/END state, and a clone of the register.
-// Fed the stream's remaining lines it parses exactly as the original would
-// have — replays of an already-validated stream find every name in the
-// cloned register, so auto-declaration assigns the original indices — while
-// the private register keeps concurrent forks from ever sharing the name
-// table. This is the segment-replay primitive of the sharded streaming
-// analysis.
-func (p *LineParser) ForkAt(line int, inBody bool) *LineParser {
-	return &LineParser{reg: p.reg.Clone(), lineno: line, inBody: inBody}
-}
-
 // NumQubits reports the register size declared or auto-declared so far.
 func (p *LineParser) NumQubits() int { return p.reg.NumQubits() }
 

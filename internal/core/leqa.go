@@ -152,11 +152,10 @@ func (e *Estimator) EstimateStreamArena(src analysis.GateStream, ar *analysis.Ar
 }
 
 // AnalyzeStreamFT is the analysis half of EstimateStreamArena on its own:
-// the stream runs behind the FT-set guard into the fused (possibly
-// shard-parallel) streamed analysis. Callers that need to time or schedule
-// the analysis and estimate phases separately — the service's phase
-// metrics — pair it with EstimateAnalysisArena; the composition is exactly
-// EstimateStreamArena.
+// the stream runs behind the FT-set guard into the fused streamed
+// analysis. Callers that need to time or schedule the analysis and
+// estimate phases separately — the service's phase metrics — pair it with
+// EstimateAnalysisArena; the composition is exactly EstimateStreamArena.
 func (e *Estimator) AnalyzeStreamFT(src analysis.GateStream, ar *analysis.Arena) (*analysis.Analysis, error) {
 	guard := &ftGuard{src: src}
 	if ar != nil {
@@ -220,18 +219,6 @@ func (f *ftGuard) Rewind() error {
 
 func (f *ftGuard) NumQubits() int { return f.src.NumQubits() }
 func (f *ftGuard) Name() string   { return f.src.Name() }
-
-// Segments delegates to the wrapped source so the guard never hides a
-// segmentable stream from the shard-parallel fill pass. The segments
-// themselves are not re-guarded: the counting pass runs the full stream
-// through the guard first, so a non-FT gate fails the analysis before any
-// fill — sharded or serial — begins.
-func (f *ftGuard) Segments(max int) ([]analysis.GateStream, []int, error) {
-	if seg, ok := f.src.(analysis.SegmentedStream); ok {
-		return seg.Segments(max)
-	}
-	return nil, nil, nil
-}
 
 // EstimateArena is Estimate through a reusable arena: the fused analysis
 // pass, the weight vector and the critical-path sweep all run in ar's

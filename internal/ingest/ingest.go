@@ -106,12 +106,6 @@ type Scanner struct {
 	ownsFile  *os.File    // set by Open; closed by Close
 	extra     []io.Closer // container resources (files, inflate spools) released by Close
 	inflated  int64       // bytes a gzip container inflated to disk on this stream's behalf
-
-	// Replay checkpoints, recorded during the first complete pass so later
-	// passes can be split into concurrent segments (Segments).
-	ckpts    []checkpoint
-	ckptDone bool // a complete pass has recorded its checkpoints
-	nGates   int  // total gate count, valid once ckptDone
 }
 
 // NewScanner returns a Scanner over r. name labels the netlist in
@@ -221,12 +215,6 @@ func (s *Scanner) Scan() bool {
 					s.srcSize = s.lr.read
 				}
 			}
-			if !s.ckptDone {
-				// This pass ran start to finish: its checkpoint trail and
-				// gate count describe the complete netlist.
-				s.ckptDone = true
-				s.nGates = s.gateIndex + 1
-			}
 			return false
 		}
 		if err != nil {
@@ -249,17 +237,6 @@ func (s *Scanner) Scan() bool {
 		if ok {
 			s.gate = g
 			s.gateIndex++
-			if !s.ckptDone && (s.gateIndex+1)%checkpointStride == 0 {
-				// The line reader has consumed the gate's full line, so the
-				// unread-window arithmetic lands the offset exactly on the
-				// following line boundary.
-				s.ckpts = append(s.ckpts, checkpoint{
-					gate:   s.gateIndex + 1,
-					off:    s.lr.read - int64(s.lr.n-s.lr.pos),
-					line:   s.p.Line(),
-					inBody: s.p.InBody(),
-				})
-			}
 			return true
 		}
 	}
@@ -343,11 +320,6 @@ func (s *Scanner) Materialize() (*circuit.Circuit, error) {
 // that is about to run.
 func (s *Scanner) startPass() error {
 	defer func() { s.started = true }()
-	if !s.ckptDone {
-		// A previous pass stopped early (its trail is partial); this pass
-		// starts from gate 0, so record from scratch.
-		s.ckpts = s.ckpts[:0]
-	}
 	if s.seeker != nil {
 		if _, err := s.seeker.Seek(s.start, io.SeekStart); err != nil {
 			return s.wrapIO(err)

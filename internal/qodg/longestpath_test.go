@@ -11,8 +11,8 @@ import (
 	"repro/internal/circuit"
 )
 
-// pathsBitwiseEqual compares two critical paths with no float tolerance:
-// the parallel sweep must reproduce the serial oracle byte for byte.
+// assertPathsBitwiseEqual compares two critical paths with no float
+// tolerance: every sweep must reproduce the serial oracle byte for byte.
 func assertPathsBitwiseEqual(t *testing.T, label string, got, want CriticalPath) {
 	t.Helper()
 	if math.Float64bits(got.Length) != math.Float64bits(want.Length) {
@@ -54,9 +54,7 @@ func assertSweepStateEqual(t *testing.T, label string, g *Graph, w Weights, s *P
 }
 
 // paperSuite returns the benchmarks the equivalence test covers: all 18
-// paper circuits normally, the sub-100k-operation subset under -short (the
-// CI race step runs -short, so the parallel machinery is race-checked
-// there on the smaller rows plus the randomized DAGs below).
+// paper circuits normally, the sub-100k-operation subset under -short.
 func paperSuite(t testing.TB) []string {
 	t.Helper()
 	if !testing.Short() {
@@ -83,48 +81,8 @@ func coreWeights(g *Graph) Weights {
 	})
 }
 
-// TestLongestPathParallelMatchesSerialOnPaperBenchmarks is the tentpole's
-// contract: on every paper benchmark, the level-partitioned parallel sweep
-// must reproduce the serial oracle bitwise — dist, from, path nodes, length
-// and per-type counts — across worker counts, with one shared scratch
-// reused across all circuits to prove stale state cannot leak through.
-func TestLongestPathParallelMatchesSerialOnPaperBenchmarks(t *testing.T) {
-	shared := new(PathScratch)
-	for _, name := range paperSuite(t) {
-		c, err := benchgen.GenerateFT(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := coreWeights(g)
-		want, err := g.LongestPathSerial(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := g.LongestPathParallel(w, shared, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertPathsBitwiseEqual(t, name, got, want)
-			assertSweepStateEqual(t, name, g, w, shared)
-		}
-		// The auto dispatcher (whatever path it picks on this machine)
-		// must agree too, including through a reused scratch.
-		got, err := g.LongestPathInto(w, shared)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPathsBitwiseEqual(t, name+"/auto", got, want)
-	}
-}
-
 // randomCircuit builds a synthetic circuit with rng-driven structure: some
-// are wide and shallow (many qubits, wide levels — the parallel sweep's
-// target shape), some deep and narrow.
+// are wide and shallow (many qubits, wide levels), some deep and narrow.
 func randomCircuit(rng *rand.Rand, qubits, gates int) *circuit.Circuit {
 	c := circuit.New("rand", qubits)
 	oneQ := []circuit.GateType{circuit.H, circuit.T, circuit.Tdg, circuit.X}
@@ -143,83 +101,6 @@ func randomCircuit(rng *rand.Rand, qubits, gates int) *circuit.Circuit {
 	return c
 }
 
-// TestLongestPathParallelMatchesSerialOnRandomDAGs fuzzes the equivalence
-// over randomized layered DAGs: varied shapes, tie-heavy weight vectors
-// (drawn from a tiny value set so max-ties are common), varied worker
-// counts, one scratch shared across every graph.
-func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
-	shared := new(PathScratch)
-	shapes := []struct{ qubits, gates int }{
-		{3, 40},      // tiny, near-serial
-		{200, 3000},  // wide and shallow
-		{16, 5000},   // deep and narrow
-		{512, 20000}, // wide, spans many chunks at small grains
-	}
-	tieValues := []float64{1, 1, 2, 2.5} // duplicates make exact ties likely
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		shape := shapes[int(seed)%len(shapes)]
-		c := randomCircuit(rng, shape.qubits, shape.gates)
-		g, err := Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := g.NewWeights(func(gt circuit.Gate) float64 {
-			return tieValues[rng.Intn(len(tieValues))]
-		})
-		want, err := g.LongestPathSerial(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			got, err := g.LongestPathParallel(w, shared, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := c.Name
-			assertPathsBitwiseEqual(t, label, got, want)
-			assertSweepStateEqual(t, label, g, w, shared)
-		}
-	}
-}
-
-// TestLongestPathAutoThreshold pins the dispatch contract: below the
-// threshold (or on one CPU) the serial sweep runs; either way results match
-// the oracle, including when the threshold is forced down to drive every
-// graph through the parallel path.
-func TestLongestPathAutoThreshold(t *testing.T) {
-	defer func(old int) { ParallelThreshold = old }(ParallelThreshold)
-	c := randomCircuit(rand.New(rand.NewSource(42)), 64, 2000)
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := coreWeights(g)
-	want, err := g.LongestPathSerial(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, threshold := range []int{1, 1 << 30} {
-		ParallelThreshold = threshold
-		got, err := g.LongestPath(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPathsBitwiseEqual(t, "auto", got, want)
-	}
-	// MaxWorkers caps the fan-out (1 forces the serial sweep even above
-	// threshold); results stay identical at every setting.
-	ParallelThreshold = 1
-	for _, maxWorkers := range []int{1, 2} {
-		s := &PathScratch{MaxWorkers: maxWorkers}
-		got, err := g.LongestPathInto(w, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPathsBitwiseEqual(t, "maxworkers", got, want)
-	}
-}
-
 // TestLongestPathWeightLengthMismatch covers the error path of every
 // entry point.
 func TestLongestPathWeightLengthMismatch(t *testing.T) {
@@ -234,8 +115,5 @@ func TestLongestPathWeightLengthMismatch(t *testing.T) {
 	}
 	if _, err := g.LongestPathSerial(bad); err == nil {
 		t.Error("LongestPathSerial accepted a short weight vector")
-	}
-	if _, err := g.LongestPathParallel(bad, nil, 4); err == nil {
-		t.Error("LongestPathParallel accepted a short weight vector")
 	}
 }

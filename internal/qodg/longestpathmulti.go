@@ -1,28 +1,22 @@
 package qodg
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Multi-weight critical-path sweep: K weight columns relaxed per node visit
 // in one traversal. A circuit × K-params grid row re-weights the same QODG K
-// times; the single-column sweep would stream the CSR adjacency (and, on the
-// parallel path, the level index) through cache once per column. The multi
-// kernel keeps every per-node array in the same SoA layout — column c of
-// node v at [v*K+c] for distance, from and weight alike — so one node's K
-// states share cache lines and the inner loop is column-contiguous, and
-// visits every edge exactly once, relaxing all K columns against it. Each
-// column's relaxation order, float expression and tie rule are identical to
-// the single-column sweep, so every column of the result is bitwise equal
-// to LongestPathSerial under that column's weights.
+// times; the single-column sweep would stream the CSR adjacency through
+// cache once per column. The multi kernel keeps every per-node array in the
+// same SoA layout — column c of node v at [v*K+c] for distance, from and
+// weight alike — so one node's K states share cache lines and the inner
+// loop is column-contiguous, and visits every edge exactly once, relaxing
+// all K columns against it. Each column's relaxation order, float
+// expression and tie rule are identical to the single-column sweep, so
+// every column of the result is bitwise equal to LongestPathSerial under
+// that column's weights.
 
 // LongestPathMulti computes the critical path under each of K independent
 // weight columns in one traversal of the graph. Column c of the result is
-// bitwise identical to LongestPath(ws[c]). The dispatch contract matches
-// LongestPathInto: graphs with at least ParallelThreshold nodes on a
-// multi-core budget take the level-partitioned parallel sweep. An empty ws
-// returns nil.
+// bitwise identical to LongestPath(ws[c]). An empty ws returns nil.
 func (g *Graph) LongestPathMulti(ws []Weights, s *PathScratch) ([]CriticalPath, error) {
 	if err := g.validateColumns(ws); err != nil {
 		return nil, err
@@ -70,15 +64,7 @@ func (g *Graph) LongestPathMultiStrided(wm []float64, k int, s *PathScratch) ([]
 	}
 	s.distM = grow(s.distM, n*k)
 	s.fromM = grow(s.fromM, n*k)
-	workers := runtime.GOMAXPROCS(0)
-	if s.MaxWorkers > 0 && workers > s.MaxWorkers {
-		workers = s.MaxWorkers
-	}
-	if n >= ParallelThreshold && workers > 1 {
-		g.relaxParallelMulti(wm, s, k, workers)
-	} else {
-		g.relaxRangeMulti(wm, s.distM[:n*k], s.fromM[:n*k], k, 0, n)
-	}
+	g.relaxMulti(wm, s.distM[:n*k], s.fromM[:n*k], k)
 	return g.recoverPaths(s.distM, s.fromM, k), nil
 }
 
@@ -97,33 +83,8 @@ func (g *Graph) LongestPathMultiSerial(ws []Weights) ([]CriticalPath, error) {
 	packColumnsInto(ws, wm)
 	dist := make([]float64, n*k)
 	from := make([]NodeID, n*k)
-	g.relaxRangeMulti(wm, dist, from, k, 0, n)
+	g.relaxMulti(wm, dist, from, k)
 	return g.recoverPaths(dist, from, k), nil
-}
-
-// LongestPathMultiParallel forces the level-partitioned multi-column
-// relaxation with the given worker count regardless of ParallelThreshold and
-// GOMAXPROCS — the equivalence tests drive the parallel machinery through it
-// even on graphs and machines the auto dispatch would run serially.
-func (g *Graph) LongestPathMultiParallel(ws []Weights, s *PathScratch, workers int) ([]CriticalPath, error) {
-	if err := g.validateColumns(ws); err != nil {
-		return nil, err
-	}
-	if len(ws) == 0 {
-		return nil, nil
-	}
-	if s == nil {
-		s = new(PathScratch)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	n, k := len(g.Nodes), len(ws)
-	wm := g.packColumns(ws, s)
-	s.distM = grow(s.distM, n*k)
-	s.fromM = grow(s.fromM, n*k)
-	g.relaxParallelMulti(wm, s, k, workers)
-	return g.recoverPaths(s.distM, s.fromM, k), nil
 }
 
 func (g *Graph) validateColumns(ws []Weights) error {
@@ -159,40 +120,15 @@ func packColumnsInto(ws []Weights, wm []float64) {
 	}
 }
 
-// relaxParallelMulti reuses the single-column sweep's level partition and
-// worker gang verbatim — only the per-span kernel changes, so the adjacency
-// and level index are built and streamed once for all K columns. Levels
-// partition the node set and the span kernel writes every visited row, so
-// grounding the level-0 sources explicitly (the level sweep starts at 1)
-// replaces the global init pass.
-func (g *Graph) relaxParallelMulti(wm []float64, s *PathScratch, k, workers int) {
-	depth := g.buildLevelIndex(s, workers)
-	dist := s.distM[:len(g.Nodes)*k]
-	from := s.fromM[:len(g.Nodes)*k]
-	g.relaxSpanMulti(wm, dist, from, k, s.levelNodes[s.levelOff[0]:s.levelOff[1]])
-	g.forEachLevel(s, workers, depth, func(span []NodeID) {
-		g.relaxSpanMulti(wm, dist, from, k, span)
-	})
-}
-
-// relaxSpanMulti finalizes all K columns of a slice of same-level nodes,
-// with relaxSpan's exact pull expression and tie rule per column.
-func (g *Graph) relaxSpanMulti(wm, dist []float64, from []NodeID, k int, span []NodeID) {
-	for _, v := range span {
-		g.relaxNodeMulti(wm, dist, from, k, v)
-	}
-}
-
-// relaxRangeMulti finalizes all K columns of every node in the contiguous
-// ID range [lo, hi) — the serial pass. Node IDs are topologically ordered,
-// so by the time the pass reaches v every predecessor's row is final and v
-// can pull its own max — the same pull form relaxSpan uses, which
+// relaxMulti finalizes all K columns of every node. Node IDs are
+// topologically ordered, so by the time the pass reaches v every
+// predecessor's row is final and v can pull its own max — a pull form that
 // reproduces relaxSerial's push byte-for-byte: predecessors arrive in the
 // ascending order the push offers them in, the first offer is always taken
 // and later offers only when strictly greater, with the identical
 // dist[p]+w[v] expression.
-func (g *Graph) relaxRangeMulti(wm, dist []float64, from []NodeID, k, lo, hi int) {
-	for v := lo; v < hi; v++ {
+func (g *Graph) relaxMulti(wm, dist []float64, from []NodeID, k int) {
+	for v := range g.Nodes {
 		g.relaxNodeMulti(wm, dist, from, k, NodeID(v))
 	}
 }

@@ -49,6 +49,18 @@ func assertMultiSweepStateEqual(t *testing.T, label string, g *Graph, ws []Weigh
 	}
 }
 
+// assertScratchStateEqual checks the relaxation state a LongestPathMulti
+// call left in s: one column runs the single-column sweep, wider sets the
+// strided kernel.
+func assertScratchStateEqual(t *testing.T, label string, g *Graph, ws []Weights, s *PathScratch) {
+	t.Helper()
+	if len(ws) == 1 {
+		assertSweepStateEqual(t, label, g, ws[0], s)
+		return
+	}
+	assertMultiSweepStateEqual(t, label, g, ws, s)
+}
+
 // assertMultiMatchesSerial checks every column of a multi-sweep result
 // against the single-column serial oracle.
 func assertMultiMatchesSerial(t *testing.T, label string, g *Graph, ws []Weights, got []CriticalPath) {
@@ -66,8 +78,7 @@ func assertMultiMatchesSerial(t *testing.T, label string, g *Graph, ws []Weights
 }
 
 // TestLongestPathMultiMatchesSerialOnPaperBenchmarks is the batched kernel's
-// contract: on every paper benchmark, each column of the multi-weight sweep —
-// serial, forced-parallel at several worker counts, and auto-dispatched —
+// contract: on every paper benchmark, each column of the multi-weight sweep
 // must reproduce the per-column serial oracle bitwise (dist, from, path
 // nodes, length, per-type counts), with one scratch shared across all
 // circuits and column counts so stale slab state cannot leak through.
@@ -84,20 +95,12 @@ func TestLongestPathMultiMatchesSerialOnPaperBenchmarks(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 3, 8} {
 			ws := columnWeights(g, k)
-			for _, workers := range []int{1, 2, 4, 7} {
-				got, err := g.LongestPathMultiParallel(ws, shared, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := name
-				assertMultiMatchesSerial(t, label, g, ws, got)
-				assertMultiSweepStateEqual(t, label, g, ws, shared)
-			}
 			got, err := g.LongestPathMulti(ws, shared)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMultiMatchesSerial(t, name+"/auto", g, ws, got)
+			assertMultiMatchesSerial(t, name, g, ws, got)
+			assertScratchStateEqual(t, name, g, ws, shared)
 		}
 	}
 }
@@ -131,49 +134,17 @@ func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
 				return tieValues[rng.Intn(len(tieValues))]
 			})
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			got, err := g.LongestPathMultiParallel(ws, shared, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertMultiMatchesSerial(t, c.Name, g, ws, got)
-			assertMultiSweepStateEqual(t, c.Name, g, ws, shared)
+		got, err := g.LongestPathMulti(ws, shared)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertMultiMatchesSerial(t, c.Name, g, ws, got)
+		assertScratchStateEqual(t, c.Name, g, ws, shared)
 		serial, err := g.LongestPathMultiSerial(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertMultiMatchesSerial(t, c.Name+"/serial", g, ws, serial)
-	}
-}
-
-// TestLongestPathMultiAutoThreshold pins the dispatch contract: the auto
-// entry point agrees with the oracle whichever side of ParallelThreshold the
-// graph lands on, and MaxWorkers=1 forces the serial multi kernel.
-func TestLongestPathMultiAutoThreshold(t *testing.T) {
-	defer func(old int) { ParallelThreshold = old }(ParallelThreshold)
-	c := randomCircuit(rand.New(rand.NewSource(42)), 64, 2000)
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := columnWeights(g, 3)
-	for _, threshold := range []int{1, 1 << 30} {
-		ParallelThreshold = threshold
-		got, err := g.LongestPathMulti(ws, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMultiMatchesSerial(t, "auto", g, ws, got)
-	}
-	ParallelThreshold = 1
-	for _, maxWorkers := range []int{1, 2} {
-		s := &PathScratch{MaxWorkers: maxWorkers}
-		got, err := g.LongestPathMulti(ws, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMultiMatchesSerial(t, "maxworkers", g, ws, got)
 	}
 }
 
@@ -195,14 +166,10 @@ func TestLongestPathMultiValidation(t *testing.T) {
 		if _, err := g.LongestPathMultiSerial(ws); err == nil {
 			t.Error("LongestPathMultiSerial accepted a short weight column")
 		}
-		if _, err := g.LongestPathMultiParallel(ws, nil, 4); err == nil {
-			t.Error("LongestPathMultiParallel accepted a short weight column")
-		}
 	}
 	for _, fn := range []func() ([]CriticalPath, error){
 		func() ([]CriticalPath, error) { return g.LongestPathMulti(nil, nil) },
 		func() ([]CriticalPath, error) { return g.LongestPathMultiSerial(nil) },
-		func() ([]CriticalPath, error) { return g.LongestPathMultiParallel(nil, nil, 4) },
 	} {
 		got, err := fn()
 		if err != nil || got != nil {

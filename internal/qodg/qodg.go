@@ -158,43 +158,6 @@ func (s *DepScanner) ResetFor(numQubits int) {
 	clear(s.last)
 }
 
-// ResetAt reseeds the scanner with an explicit per-qubit last-writer state
-// (copied), resizing the register to match — the fork/merge primitive of the
-// sharded analysis builder, which seeds each shard's scanner and later
-// replays the merged state through VisitEnd. NewDepScannerAt is ResetAt on a
-// fresh scanner.
-func (s *DepScanner) ResetAt(last []NodeID) {
-	s.last = append(s.last[:0], last...)
-}
-
-// Pending is the sentinel family a shard-local scan seeds its last-writer
-// state with: PendingWriter(q) marks qubit q as last written by an unknown
-// node of an earlier shard. Sentinels are negative and distinct per qubit,
-// so VisitGate's per-gate duplicate merging never collapses two unresolved
-// operands on different qubits — they may resolve to different earlier
-// nodes — while two operands on the same still-pending qubit are impossible
-// (a gate's operands are distinct). Edges emitted with a pending source are
-// boundary edges; the stitch resolves them against the previous shards'
-// merged last-writer state and re-applies the duplicate merge there.
-
-// PendingWriter returns the pending-last-writer sentinel for qubit q.
-func PendingWriter(q int) NodeID { return -NodeID(q) - 1 }
-
-// IsPending reports whether a dependency source is an unresolved sentinel.
-func IsPending(id NodeID) bool { return id < 0 }
-
-// PendingQubit recovers the qubit index from a PendingWriter sentinel.
-func PendingQubit(id NodeID) int { return int(-id - 1) }
-
-// ResetPending resizes the scanner to numQubits with every qubit seeded
-// pending — the state a shard-local scan starts from.
-func (s *DepScanner) ResetPending(numQubits int) {
-	s.last = csr.Grow(s.last, numQubits)
-	for q := range s.last {
-		s.last[q] = PendingWriter(q)
-	}
-}
-
 // VisitGate emits (from, id) once per distinct dependency source of the
 // gate occupying node id, then records id as the last writer of the gate's
 // qubits. Duplicate sources (two operands last touched by the same node)
@@ -289,15 +252,7 @@ func Build(c *circuit.Circuit) (*Graph, error) {
 // qubit order, not ID order; segments are tiny (a node's in-degree is at
 // most its gate's arity; the end node's at most Q), so insertion sort wins.
 func sortPredSegments(off []int32, pred []NodeID) {
-	SortPredRange(off, pred, 0, len(off)-1)
-}
-
-// SortPredRange orders the predecessor segments of nodes [lo, hi) ascending.
-// Rows are independent, so disjoint ranges may be sorted concurrently — the
-// hook the sharded analysis builder uses to parallelize the pred-sort before
-// handing the arrays to FromCSRSorted.
-func SortPredRange(off []int32, pred []NodeID, lo, hi int) {
-	for u := lo; u < hi; u++ {
+	for u := 0; u < len(off)-1; u++ {
 		seg := pred[off[u]:off[u+1]]
 		for i := 1; i < len(seg); i++ {
 			for j := i; j > 0 && seg[j] < seg[j-1]; j-- {
@@ -326,9 +281,8 @@ func FromCSRInto(dst *Graph, nodes []Node, numQubits int, succOff []int32, succ 
 	FromCSRSortedInto(dst, nodes, numQubits, succOff, succ, predOff, pred)
 }
 
-// FromCSRSortedInto is FromCSRInto for callers that have already sorted
-// every predecessor segment (e.g. concurrently via SortPredRange); it only
-// assembles the header.
+// FromCSRSortedInto is FromCSRInto for callers whose predecessor segments
+// are already sorted (a decoded binary image); it only assembles the header.
 func FromCSRSortedInto(dst *Graph, nodes []Node, numQubits int, succOff []int32, succ []NodeID, predOff []int32, pred []NodeID) {
 	*dst = Graph{
 		Nodes:     nodes,
@@ -457,23 +411,8 @@ func (g *Graph) NewWeightsInto(buf Weights, weightOf func(circuit.Gate) float64)
 // Levels returns each node's ASAP level (start = 0) — the unweighted depth
 // used for scheduling and reporting.
 func (g *Graph) Levels() []int {
-	lv32 := make([]int32, len(g.Nodes))
-	g.computeLevels(lv32)
-	lv := make([]int, len(lv32))
-	for i, v := range lv32 {
-		lv[i] = int(v)
-	}
-	return lv
-}
-
-// computeLevels fills level (len == NumNodes, pre-zeroed by the caller or
-// fresh) with each node's ASAP level via one push pass over the topological
-// order, and returns the graph depth (the maximum level). The single kernel
-// behind both Levels and the parallel sweep's level partitioning.
-func (g *Graph) computeLevels(level []int32) int32 {
-	clear(level)
-	n := len(g.Nodes)
-	for u := 0; u < n; u++ {
+	level := make([]int, len(g.Nodes))
+	for u := range level {
 		lu := level[u] + 1
 		for _, v := range g.Succ(NodeID(u)) {
 			if lu > level[v] {
@@ -481,13 +420,7 @@ func (g *Graph) computeLevels(level []int32) int32 {
 			}
 		}
 	}
-	depth := int32(0)
-	for _, lv := range level {
-		if lv > depth {
-			depth = lv
-		}
-	}
-	return depth
+	return level
 }
 
 // CheckAcyclic verifies the topological-order invariant: every edge points

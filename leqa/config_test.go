@@ -5,53 +5,11 @@ import (
 	"testing"
 )
 
-// TestApplyEnvTuning covers the LEQA_* startup knobs: unset variables leave
-// the defaults alone, set ones land in the dispatch thresholds, and
-// non-integer values fail with the variable named.
-func TestApplyEnvTuning(t *testing.T) {
-	savedPar, savedShard := ParallelThreshold(), ShardThreshold()
-	defer func() {
-		SetParallelThreshold(savedPar)
-		SetShardThreshold(savedShard)
-	}()
-
+// TestStoreOptionsFromEnv covers the LEQA_STORE_* startup variables: unset
+// variables leave the options alone, set ones land in them, and non-integer
+// values fail with the variable named.
+func TestStoreOptionsFromEnv(t *testing.T) {
 	t.Run("Unset", func(t *testing.T) {
-		t.Setenv(EnvParallelThreshold, "")
-		t.Setenv(EnvShardThreshold, "")
-		SetParallelThreshold(12345)
-		SetShardThreshold(67890)
-		if err := ApplyEnvTuning(); err != nil {
-			t.Fatal(err)
-		}
-		if ParallelThreshold() != 12345 || ShardThreshold() != 67890 {
-			t.Fatalf("unset env changed thresholds: parallel=%d shard=%d",
-				ParallelThreshold(), ShardThreshold())
-		}
-	})
-
-	t.Run("Set", func(t *testing.T) {
-		t.Setenv(EnvParallelThreshold, "1000")
-		t.Setenv(EnvShardThreshold, "0")
-		if err := ApplyEnvTuning(); err != nil {
-			t.Fatal(err)
-		}
-		if ParallelThreshold() != 1000 {
-			t.Errorf("ParallelThreshold = %d, want 1000", ParallelThreshold())
-		}
-		if ShardThreshold() != 0 {
-			t.Errorf("ShardThreshold = %d, want 0 (disabled)", ShardThreshold())
-		}
-	})
-
-	t.Run("Invalid", func(t *testing.T) {
-		t.Setenv(EnvParallelThreshold, "lots")
-		err := ApplyEnvTuning()
-		if err == nil || !strings.Contains(err.Error(), EnvParallelThreshold) {
-			t.Fatalf("err = %v, want mention of %s", err, EnvParallelThreshold)
-		}
-	})
-
-	t.Run("StoreUnset", func(t *testing.T) {
 		t.Setenv(EnvStoreDir, "")
 		t.Setenv(EnvStoreMem, "")
 		t.Setenv(EnvStoreDiskBytes, "")
@@ -65,7 +23,7 @@ func TestApplyEnvTuning(t *testing.T) {
 		}
 	})
 
-	t.Run("StoreSet", func(t *testing.T) {
+	t.Run("Set", func(t *testing.T) {
 		t.Setenv(EnvStoreDir, "/tmp/qca")
 		t.Setenv(EnvStoreMem, "128")
 		t.Setenv(EnvStoreDiskBytes, "1073741824")
@@ -79,7 +37,7 @@ func TestApplyEnvTuning(t *testing.T) {
 		}
 	})
 
-	t.Run("StoreInvalid", func(t *testing.T) {
+	t.Run("Invalid", func(t *testing.T) {
 		t.Setenv(EnvStoreDiskBytes, "huge")
 		_, err := StoreOptionsFromEnv(AnalysisStoreOptions{})
 		if err == nil || !strings.Contains(err.Error(), EnvStoreDiskBytes) {

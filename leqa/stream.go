@@ -80,7 +80,7 @@ func (r *Runner) SweepGridStream(ctx context.Context, circuits []*Circuit, param
 				t := time.Now()
 				a, err := ar.Analyze(c)
 				observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-					return analyzeDetail("", c.NumGates(), analysis.ShardPlan(c.NumGates(), ar))
+					return "gates=" + itoa(c.NumGates())
 				})
 				return a, err
 			},

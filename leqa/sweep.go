@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -41,45 +40,23 @@ type Runner struct {
 	est     *core.Estimator
 	opt     EstimateOptions
 	workers int
-	arenas  sync.Pool    // of *analysis.Arena
-	active  atomic.Int32 // arenas currently checked out ≈ cells in flight
+	arenas  sync.Pool // of *analysis.Arena
 	store   *AnalysisStore
 	memo    *ResultMemo // optional (digest, params) result memo; see memo.go
 	memoOpt string      // options prefix baked into every memo key
 }
 
-// arena checks a warm arena out of the pool (or makes a fresh one). The
-// arena's longest-path scratch is capped to an even share of the cores
-// among the estimates currently in flight, so pool-workers × sweep-helpers
-// stay near GOMAXPROCS in aggregate: a saturated pool runs each cell's
-// critical-path sweep serially (the cells themselves are the parallelism),
-// while a lone large request — the interactive leqad case — fans its sweep
-// across every core. The share is a checkout-time snapshot, so a burst of
-// simultaneous checkouts can transiently overshoot while the first wave's
-// earlier, larger shares drain; it cannot deadlock or change results —
-// MaxWorkers is purely a performance cap.
+// arena checks a warm arena out of the pool (or makes a fresh one).
 func (r *Runner) arena() *analysis.Arena {
-	ar, ok := r.arenas.Get().(*analysis.Arena)
-	if !ok {
-		ar = analysis.NewArena()
+	if ar, ok := r.arenas.Get().(*analysis.Arena); ok {
+		return ar
 	}
-	sweepWorkers := runtime.GOMAXPROCS(0) / int(r.active.Add(1))
-	if sweepWorkers < 1 {
-		sweepWorkers = 1
-	}
-	ar.Path().MaxWorkers = sweepWorkers
-	// The analysis build's shard gang divides the machine the same way the
-	// sweep gang does — one even share per in-flight estimate.
-	ar.MaxShards = sweepWorkers
-	return ar
+	return analysis.NewArena()
 }
 
 // release returns an arena to the pool once every borrow of its current
 // contents has ended.
-func (r *Runner) release(ar *analysis.Arena) {
-	r.active.Add(-1)
-	r.arenas.Put(ar)
-}
+func (r *Runner) release(ar *analysis.Arena) { r.arenas.Put(ar) }
 
 // NewRunner validates the parameters and builds a Runner. workers ≤ 0
 // selects GOMAXPROCS.
@@ -156,7 +133,7 @@ func (r *Runner) estimateOne(ctx context.Context, c *Circuit) (*EstimateResult, 
 	t := time.Now()
 	a, err := ar.Analyze(c)
 	observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-		return analyzeDetail("", c.NumGates(), analysis.ShardPlan(c.NumGates(), ar))
+		return "gates=" + itoa(c.NumGates())
 	})
 	if err != nil {
 		return nil, err
