@@ -73,6 +73,11 @@ func Restore(name string, qubits, operations int, ft bool, g *qodg.Graph, ig *ii
 	}
 }
 
+// maxGates bounds every builder in this package — the materialized pass,
+// the streamed pass and the Appender — at qodg.MaxGates, so a node ID never
+// wraps; a variable so tests can reach it without a 2^31-gate stream.
+var maxGates = qodg.MaxGates
+
 // Analyze builds both graphs in one streaming pass over the gate list. The
 // circuit must be decomposed to one- and two-qubit gates: wider gates are
 // rejected (the IIG is undefined on them), exactly as iig.Build does.
@@ -89,6 +94,9 @@ func Analyze(c *circuit.Circuit) (*Analysis, error) {
 // arena it reuses the arena's buffers and graph headers, producing a
 // borrowed Analysis that stays valid until the arena's next use.
 func analyzeSerial(c *circuit.Circuit, ar *Arena) (*Analysis, error) {
+	if len(c.Gates) > maxGates {
+		return nil, qodg.GateLimitError(len(c.Gates), maxGates)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

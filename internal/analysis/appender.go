@@ -119,6 +119,9 @@ func (ap *Appender) NumQubits() int { return ap.qubits }
 // appender usable.
 func (ap *Appender) Append(gs ...circuit.Gate) error {
 	for _, g := range gs {
+		if ap.nGates >= maxGates {
+			return qodg.GateLimitError(ap.nGates+1, maxGates)
+		}
 		if err := g.Validate(ap.qubits); err != nil {
 			return fmt.Errorf("circuit %q: gate %d: %w", ap.name, ap.nGates, err)
 		}

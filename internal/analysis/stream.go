@@ -138,6 +138,9 @@ func analyzeStream(src GateStream, ar *Arena) (*Analysis, error) {
 	nGates := 0
 	trusted := gatesPrevalidated(src)
 	for src.Scan() {
+		if nGates >= maxGates {
+			return nil, qodg.GateLimitError(nGates+1, maxGates)
+		}
 		g := src.Gate()
 		id := qodg.NodeID(nGates + 1)
 		succDeg = growKeep(succDeg, nGates+2)

@@ -41,8 +41,8 @@ func EncodeImage(w io.Writer, a *analysis.Analysis) error {
 	if n != a.Operations+2 {
 		return formatErr(a.Name, 0, "QODG has %d nodes for %d operations", n, a.Operations)
 	}
-	if int64(n) >= math.MaxUint32 {
-		return formatErr(a.Name, 0, "%d nodes overflow the u32 image layout", n)
+	if a.Operations > qodg.MaxGates {
+		return formatErr(a.Name, 0, "%v", qodg.GateLimitError(a.Operations, qodg.MaxGates))
 	}
 	succOff, succ, predOff, pred := a.QODG.CSR()
 	iigOff, iigNbr, iigWt := a.IIG.Rows()
@@ -141,6 +141,9 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 	ops, err := r.uvarint("operation count")
 	if err != nil {
 		return nil, err
+	}
+	if ops > qodg.MaxGates {
+		return nil, formatErr(r.name, int64(r.off), "%v", qodg.GateLimitError(ops, qodg.MaxGates))
 	}
 	ftb, err := r.need(1, "FT flag")
 	if err != nil {

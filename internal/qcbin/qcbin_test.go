@@ -3,7 +3,9 @@ package qcbin
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -317,6 +319,21 @@ func TestImageCorruption(t *testing.T) {
 	var fe *FormatError
 	if _, err := DecodeImage([]byte("not an image at all"), "x"); !errors.As(err, &fe) {
 		t.Errorf("junk input: got %v, want FormatError", err)
+	}
+}
+
+// TestImageNodeLimit: a header declaring more operations than int32 node
+// IDs can number is refused before any section is read.
+func TestImageNodeLimit(t *testing.T) {
+	for _, ops := range []uint64{qodg.MaxGates + 1, math.MaxUint32} {
+		img := append(bytes.Clone(MagicQCA[:]), Version, 0) // empty name
+		img = binary.AppendUvarint(img, 1)                  // qubits
+		img = binary.AppendUvarint(img, ops)
+		_, err := DecodeImage(img, "x")
+		var fe *FormatError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "graph limit") {
+			t.Errorf("ops=%d: got %v, want a graph-limit FormatError", ops, err)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ package qodg
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/csr"
@@ -26,7 +27,24 @@ import (
 
 // NodeID indexes nodes in a Graph. Start is always 0; End is always
 // len(Nodes)-1; operation nodes occupy 1..len(Nodes)-2 in program order.
-type NodeID int
+// It is 32 bits wide, like the CSR offsets, which halves the edge arrays
+// and critical-path node lists of every resident graph and result.
+type NodeID int32
+
+// MaxGates is the most operations one Graph can hold: node IDs are int32,
+// and the start and end anchors take two of them. Every builder that mints
+// node IDs rejects longer gate streams instead of wrapping around.
+const MaxGates = math.MaxInt32 - 2
+
+// maxGates is the bound Build and BuildReference enforce; a variable so
+// tests can reach it without a 2^31-gate circuit.
+var maxGates = MaxGates
+
+// GateLimitError is the error a builder returns once a gate stream reaches
+// n operations, over limit (MaxGates outside tests).
+func GateLimitError(n, limit int) error {
+	return fmt.Errorf("qodg: %d operations exceed the %d-operation graph limit (node IDs are int32)", n, limit)
+}
 
 // Node is one vertex of the QODG.
 type Node struct {
@@ -212,6 +230,9 @@ func (s *DepScanner) VisitEnd(end NodeID, emit func(from, to NodeID)) {
 // dependency edges connect the same ordered node pair (e.g. a CNOT followed
 // immediately by another CNOT on the same two qubits) they are merged.
 func Build(c *circuit.Circuit) (*Graph, error) {
+	if len(c.Gates) > maxGates {
+		return nil, GateLimitError(len(c.Gates), maxGates)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -308,6 +329,9 @@ func (g *Graph) CSR() (succOff []int32, succ []NodeID, predOff []int32, pred []N
 // against. Output is converted to the CSR representation so results compare
 // directly with Build and the analysis layer.
 func BuildReference(c *circuit.Circuit) (*Graph, error) {
+	if len(c.Gates) > maxGates {
+		return nil, GateLimitError(len(c.Gates), maxGates)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

@@ -288,3 +288,21 @@ func TestWriteDOT(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildGateLimit: Build and BuildReference accept exactly maxGates
+// operations and refuse one more rather than wrap an int32 node ID.
+func TestBuildGateLimit(t *testing.T) {
+	old := maxGates
+	maxGates = 5
+	t.Cleanup(func() { maxGates = old })
+	for name, build := range map[string]func(*circuit.Circuit) (*Graph, error){
+		"Build": Build, "BuildReference": BuildReference,
+	} {
+		if g, err := build(linearChain(5)); err != nil || g.NumNodes() != 7 {
+			t.Errorf("%s at the limit: err=%v", name, err)
+		}
+		if _, err := build(linearChain(6)); err == nil || !strings.Contains(err.Error(), "graph limit") {
+			t.Errorf("%s over the limit: got %v, want a graph-limit error", name, err)
+		}
+	}
+}

@@ -50,6 +50,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cells, err = runner.SweepGridSources(ctx, []leqa.Source{src}, []leqa.Params{p})
+	} else if cell, ok := s.cachedGenerate(ctx, runner, req.CircuitSpec, p); ok {
+		cells = []leqa.GridCell{cell}
 	} else {
 		c, cerr := s.resolveCircuit(ctx, req.CircuitSpec, wantDecompose(req.Options))
 		if cerr != nil {
@@ -59,6 +61,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		// One 1×1 grid cell: the same engine, memo and record schema as the
 		// batch endpoints.
 		cells, err = runner.SweepGrid(ctx, []*leqa.Circuit{c}, []leqa.Params{p})
+		if len(cells) == 1 && cells[0].Err == nil {
+			s.recordGenerate(req.CircuitSpec, c)
+		}
 	}
 	if len(cells) == 0 {
 		s.writeError(w, err)
@@ -72,6 +77,54 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	t := time.Now()
 	writeJSON(w, http.StatusOK, cells[0].Record())
 	trace.FromContext(ctx).Observe(trace.SpanEmit, "", t, time.Since(t))
+}
+
+// cachedGenerate answers a warm {"generate":…} estimate from the result
+// memo: the spec's recorded digest plus the request's params and options
+// key the memoized cell, so the hit generates, hashes and analyzes nothing.
+// The reply is the record the miss path would return (spec.Name still
+// relabels it). ok == false sends the request down the miss path: an
+// unrecorded spec, a memo without the cell, or a disabled memo.
+func (s *Server) cachedGenerate(ctx context.Context, runner *leqa.Runner, spec client.CircuitSpec, p leqa.Params) (leqa.GridCell, bool) {
+	if s.specs == nil || spec.Generate == "" || spec.QC != "" {
+		return leqa.GridCell{}, false
+	}
+	t := time.Now()
+	digest, ok := s.specs.get(spec.Generate)
+	if !ok {
+		return leqa.GridCell{}, false
+	}
+	res, ok := runner.LookupResult(digest, p)
+	if !ok {
+		return leqa.GridCell{}, false
+	}
+	// Ingest and estimate spans as the cold path records them, so a warm
+	// request's Server-Timing shows where the time didn't go.
+	d := time.Since(t)
+	leqa.ObservePhase(leqa.PhaseIngest, d)
+	leqa.ObservePhase(leqa.PhaseEstimate, 0)
+	tr := trace.FromContext(ctx)
+	tr.Observe(trace.SpanIngest, "spec=cached", t, d)
+	tr.Observe(trace.SpanEstimate, "cols=0 memo=hit", t.Add(d), 0)
+	name := spec.Name
+	if name == "" {
+		name = spec.Generate
+	}
+	return leqa.GridCell{Name: name, Params: p, Result: res}, true
+}
+
+// recordGenerate notes a {"generate":…} spec's digest after its first
+// successful estimate, arming cachedGenerate for every later request.
+func (s *Server) recordGenerate(spec client.CircuitSpec, c *leqa.Circuit) {
+	if s.specs == nil || spec.Generate == "" {
+		return
+	}
+	if _, ok := s.specs.get(spec.Generate); ok {
+		return
+	}
+	if d, err := leqa.CircuitDigest(c); err == nil {
+		s.specs.put(spec.Generate, d)
+	}
 }
 
 // handleEstimateQC estimates a raw netlist upload through the streaming

@@ -194,7 +194,7 @@ func (s *Server) resolveCircuit(ctx context.Context, spec client.CircuitSpec, de
 			return nil, capExceeded("generator %q may produce up to %d operations, over the server cap of %d",
 				spec.Generate, bound, s.cfg.MaxGates)
 		}
-		c, err = leqa.GenerateFT(spec.Generate)
+		c, err = s.generate(spec.Generate)
 	case spec.QC != "":
 		name := spec.Name
 		if name == "" {

@@ -159,6 +159,7 @@ type Server struct {
 	runner  *leqa.Runner
 	store   *leqa.AnalysisStore
 	memo    *leqa.ResultMemo // nil when disabled
+	specs   *specDigests     // generate spec → digest; nil without memo
 	mux     *http.ServeMux
 	handler http.Handler // mux behind the observability middleware
 	sem     chan struct{}
@@ -166,6 +167,10 @@ type Server struct {
 	logger  *slog.Logger
 	ring    *trace.Ring
 	panics  atomic.Uint64
+
+	// generate synthesizes and FT-lowers a {"generate":…} spec:
+	// leqa.GenerateFT, swapped only by tests that count its calls.
+	generate func(spec string) (*leqa.Circuit, error)
 
 	// baseCtx is cancelled by Abort to stop every in-flight batch during
 	// forced shutdown.
@@ -338,11 +343,15 @@ func New(cfg Config) (*Server, error) {
 		runner:    runner,
 		store:     store,
 		memo:      memo,
+		generate:  leqa.GenerateFT,
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		start:     time.Now(),
 		baseCtx:   baseCtx,
 		abortBase: abort,
 		endpoints: make(map[string]*endpointMetrics, len(metricsEndpoints)),
+	}
+	if memo != nil {
+		s.specs = newSpecDigests(memo.Stats().Capacity)
 	}
 	for _, name := range metricsEndpoints {
 		s.endpoints[name] = &endpointMetrics{}

@@ -311,7 +311,13 @@ func (s *Store) lookup(digest string, compute func() (*analysis.Analysis, error)
 	return e.a, e.err
 }
 
-func (e *entry) run() { e.a, e.err = e.compute() }
+// run computes the entry once and drops the closure: it captures the gate
+// stream the analysis came from (for an upload, the ingest scanner, its
+// buffers and the request body), which must not live as long as the entry.
+func (e *entry) run() {
+	e.a, e.err = e.compute()
+	e.compute = nil
+}
 
 // imagePath maps a digest to its disk image.
 func (s *Store) imagePath(digest string) string {

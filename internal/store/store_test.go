@@ -4,8 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/benchgen"
@@ -332,4 +334,33 @@ func TestRestoredAnalysisAppends(t *testing.T) {
 	if _, err := qcbin.ParseRef(qcbin.FormatRef(digest)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEntryReleasesStream: a resident entry must not pin the gate stream
+// it was analyzed from — for an upload that stream is the ingest scanner,
+// its buffers and the request body.
+func TestEntryReleasesStream(t *testing.T) {
+	s := newStore(t, Options{})
+	collected := make(chan struct{})
+	digest := func() string {
+		src := analysis.NewCircuitStream(genFT(t, "8bitadder"))
+		runtime.AddCleanup(src, func(ch chan struct{}) { close(ch) }, collected)
+		_, d, err := s.GetOrAnalyze(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}()
+	for range 50 {
+		runtime.GC()
+		select {
+		case <-collected:
+			if !s.Contains(digest) {
+				t.Fatal("entry was evicted; the test proves nothing")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the source stream is still reachable from the resident store entry")
 }

@@ -94,6 +94,31 @@ func (m *ResultMemo) claim(key string) (e *memoEntry, owned bool) {
 	return e, true
 }
 
+// lookup is claim's read-only probe: a resident, fulfilled, successful
+// entry is a hit (counted, and moved to the LRU front); an absent or
+// still-computing key reports ok == false and counts nothing, leaving the
+// miss to whichever claim computes it.
+func (m *ResultMemo) lookup(key string) (res *EstimateResult, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, found := m.items[key]
+	if !found {
+		return nil, false
+	}
+	e := el.Value.(*memoEntry)
+	select {
+	case <-e.done:
+	default:
+		return nil, false
+	}
+	if e.err != nil {
+		return nil, false
+	}
+	m.hits++
+	m.order.MoveToFront(el)
+	return e.res, true
+}
+
 // fulfill publishes an owned entry's outcome and wakes every waiter. A
 // non-nil err unpublishes the entry first (if still resident), so failures —
 // including cancellations — are never served from the memo.
@@ -153,6 +178,19 @@ func (m *ResultMemo) Purge() {
 func (r *Runner) SetResultMemo(m *ResultMemo) {
 	r.memo = m
 	r.memoOpt = strconv.Itoa(r.opt.Truncation) + "|" + strconv.FormatBool(r.opt.DisableCongestion) + "|"
+}
+
+// LookupResult answers one (circuit, params) cell from the attached result
+// memo without computing or claiming anything: ok only when the cell under
+// the runner's options is resident and succeeded, and that hit counts in
+// the memo's stats. The miss path is SweepGrid as usual. leqad uses it to
+// answer a warm generated-benchmark estimate from the circuit's recorded
+// digest, skipping generation, analysis and estimate.
+func (r *Runner) LookupResult(digest string, p Params) (*EstimateResult, bool) {
+	if r.memo == nil {
+		return nil, false
+	}
+	return r.memo.lookup(r.memoKey(digest, p.Key()))
 }
 
 // ResultMemo reports the attached result memo (nil when none).

@@ -290,3 +290,68 @@ func TestResultMemoDisabledMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupResult: the read-only probe answers only resident, fulfilled,
+// successful cells under the runner's own options, counts exactly those as
+// hits, and never claims — an absent or in-flight key stays a miss for the
+// next SweepGrid to compute (or join).
+func TestLookupResult(t *testing.T) {
+	r, err := NewRunner(DefaultParams(), EstimateOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.LookupResult("x", DefaultParams()); ok {
+		t.Fatal("a runner without a memo must never hit")
+	}
+	m := NewResultMemo(0)
+	r.SetResultMemo(m)
+	c, err := GenerateFT("ham7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := CircuitDigest(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	if _, ok := r.LookupResult(d, p); ok {
+		t.Fatal("cold lookup hit")
+	}
+	if st := m.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("a missed lookup must not count or claim: %+v", st)
+	}
+	cells, err := r.SweepGrid(context.Background(), []*Circuit{c}, []Params{p})
+	if err != nil || cells[0].Err != nil {
+		t.Fatal(err, cells[0].Err)
+	}
+	res, ok := r.LookupResult(d, p.Clone())
+	if !ok || res != cells[0].Result {
+		t.Fatalf("warm lookup = %p, %v; want the memoized %p", res, ok, cells[0].Result)
+	}
+	if st := m.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats after one cold cell and one lookup hit: %+v", st)
+	}
+
+	// Another option set keys another cell, even over the shared memo.
+	other, err := NewRunner(DefaultParams(), EstimateOptions{Truncation: 3}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.SetResultMemo(m)
+	if _, ok := other.LookupResult(d, p); ok {
+		t.Fatal("a truncation overlay hit the default-options cell")
+	}
+
+	// In flight: claimed but unfulfilled entries are not answers.
+	e, own := m.claim(r.memoKey("inflight", p.Key()))
+	if !own {
+		t.Fatal("fresh key not owned")
+	}
+	if _, ok := r.LookupResult("inflight", p); ok {
+		t.Fatal("an in-flight entry must not hit")
+	}
+	m.fulfill(e, nil, errors.New("boom"))
+	if _, ok := r.LookupResult("inflight", p); ok {
+		t.Fatal("a failed entry must not hit")
+	}
+}
