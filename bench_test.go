@@ -324,14 +324,15 @@ func BenchmarkSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		ctx := context.Background()
+		params := []leqa.Params{p}
 		for i := 0; i < b.N; i++ {
-			results, err := runner.Run(ctx, circuits)
+			cells, err := runner.SweepGrid(ctx, circuits, params)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, sr := range results {
-				if sr.Err != nil {
-					b.Fatal(sr.Err)
+			for _, cell := range cells {
+				if cell.Err != nil {
+					b.Fatal(cell.Err)
 				}
 			}
 		}

@@ -9,8 +9,9 @@
 // such as gf2^16mult, hwb50ps, ham15, 8bitadder, mod1048576adder, or "-"
 // for a .qc netlist on stdin. The repeatable -grid/-capacity/-speed flags
 // form a parameter matrix (their cross product); circuits × parameter sets
-// fan out across a worker pool (the leqa.Runner sweep-grid engine), each
-// circuit analyzed exactly once, and print as a table in argument order.
+// fan out across a worker pool (the leqa.Runner engine, SweepGridSources),
+// each circuit analyzed exactly once, and print as a table in argument
+// order.
 //
 // Files larger than -maxmem — and stdin always — take the streaming
 // ingestion path: the netlist is parsed and analyzed gate by gate
@@ -193,20 +194,14 @@ func run() error {
 		defer cancel()
 	}
 
-	// Inputs split into materialized circuits and lazy stream sources.
-	// When every input is materialized the batch engine runs exactly as
-	// before; one streamed input switches the whole run to the source
-	// engine (materialized circuits ride along as in-memory streams).
-	circuits := make([]*leqa.Circuit, 0, flag.NArg())
+	// Every input becomes one engine source: streamed inputs stay lazy
+	// gate streams, everything else is materialized (and FT-lowered) here.
 	sources := make([]leqa.Source, 0, flag.NArg())
-	streaming := false
 	for _, arg := range flag.Args() {
 		if src, ok, err := streamedInput(arg, *maxMem); err != nil {
 			return err
 		} else if ok {
 			sources = append(sources, src)
-			circuits = append(circuits, nil)
-			streaming = true
 			continue
 		}
 		c, err := loadOrGenerate(arg)
@@ -222,7 +217,6 @@ func run() error {
 				return err
 			}
 		}
-		circuits = append(circuits, c)
 		sources = append(sources, leqa.CircuitSource(c))
 	}
 
@@ -258,9 +252,9 @@ func run() error {
 		return err
 	}
 	// A store directory turns repeat invocations into "parse once, estimate
-	// forever": every input is digested and resolved against the persisted
-	// .qca images, so only never-seen circuits pay for analysis. The sources
-	// engine carries materialized circuits through the store too.
+	// forever": every input — materialized circuits included — is digested
+	// and resolved against the persisted .qca images, so only never-seen
+	// circuits pay for analysis.
 	storeOpt, err := leqa.StoreOptionsFromEnv(leqa.AnalysisStoreOptions{})
 	if err != nil {
 		return err
@@ -280,7 +274,6 @@ func run() error {
 			return err
 		}
 		runner.SetAnalysisStore(st)
-		streaming = true
 	}
 	// -trace attaches a request-style trace to the run: the engine records
 	// ingest/analyze/estimate spans (with store outcomes and gate counts)
@@ -291,12 +284,7 @@ func run() error {
 		tr = trace.New(trace.Generate())
 		ctx = trace.NewContext(ctx, tr)
 	}
-	var cells []leqa.GridCell
-	if streaming {
-		cells, err = runner.SweepGridSources(ctx, sources, paramSets)
-	} else {
-		cells, err = runner.SweepGrid(ctx, circuits, paramSets)
-	}
+	cells, err := runner.SweepGridSources(ctx, sources, paramSets)
 	if tr != nil {
 		defer fmt.Fprint(os.Stderr, tr.Breakdown())
 	}

@@ -144,7 +144,7 @@ func TestEstimateStreamNonFT(t *testing.T) {
 	} else {
 		t.Fatal("batch estimate of non-FT circuit succeeded")
 	}
-	_, err = est.EstimateStream(analysis.NewCircuitStream(c))
+	_, err = est.AnalyzeStreamFT(analysis.NewCircuitStream(c), nil)
 	if err == nil || err.Error() != wantErr {
 		t.Fatalf("streamed non-FT error = %v, want %q", err, wantErr)
 	}

@@ -142,6 +142,9 @@ func EstimateAnalysisBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis
 	}
 	for i, j := range runJ {
 		finishPath(results[j], cps[i])
+		if err := checkFinite("D", results[j].EstimatedLatency); err != nil {
+			results[j], errs[j] = nil, err
+		}
 	}
 	return results, errs
 }

@@ -7,13 +7,12 @@ package core
 
 import (
 	"fmt"
-	"io"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
 	"repro/internal/iig"
-	"repro/internal/ingest"
 	"repro/internal/qodg"
 	"repro/internal/tsp"
 	"repro/internal/zonemodel"
@@ -130,47 +129,19 @@ func (e *Estimator) Estimate(c *circuit.Circuit) (*Result, error) {
 	return e.estimate(a.Qubits, a.Operations, a.QODG, a.IIG, nil)
 }
 
-// EstimateStream runs Algorithm 1 on a streamed netlist: the fused analysis
-// passes consume the gate stream directly (analysis.AnalyzeStream), so the
-// circuit's gate list is never materialized and peak memory is the analysis
-// product plus one ingest chunk. The FT precondition is enforced gate by
-// gate as the stream flows; results are bitwise identical to Estimate on
+// AnalyzeStreamFT analyzes a streamed netlist behind the FT-set guard: the
+// fused analysis passes consume the gate stream directly
+// (analysis.AnalyzeStream), so the gate list is never materialized, and
+// the first non-FT gate stops the scan with a NonFTError. ar, when
+// non-nil, donates every analysis buffer. Paired with
+// EstimateAnalysisArena it gives Results bitwise identical to Estimate on
 // the materialized circuit.
-func (e *Estimator) EstimateStream(src analysis.GateStream) (*Result, error) {
-	return e.EstimateStreamArena(src, nil)
-}
-
-// EstimateStreamArena is EstimateStream with every analysis and estimate
-// buffer drawn from ar — the steady-state ingestion path of a pooled
-// worker. A nil arena allocates fresh storage.
-func (e *Estimator) EstimateStreamArena(src analysis.GateStream, ar *analysis.Arena) (*Result, error) {
-	a, err := e.AnalyzeStreamFT(src, ar)
-	if err != nil {
-		return nil, err
-	}
-	return e.estimate(a.Qubits, a.Operations, a.QODG, a.IIG, ar)
-}
-
-// AnalyzeStreamFT is the analysis half of EstimateStreamArena on its own:
-// the stream runs behind the FT-set guard into the fused streamed
-// analysis. Callers that need to time or schedule the analysis and
-// estimate phases separately — the service's phase metrics — pair it with
-// EstimateAnalysisArena; the composition is exactly EstimateStreamArena.
 func (e *Estimator) AnalyzeStreamFT(src analysis.GateStream, ar *analysis.Arena) (*analysis.Analysis, error) {
 	guard := &ftGuard{src: src}
 	if ar != nil {
 		return ar.AnalyzeStream(guard)
 	}
 	return analysis.AnalyzeStream(guard)
-}
-
-// EstimateReader runs Algorithm 1 on a .qc netlist read from r, streamed
-// through internal/ingest under opt (chunk size, spool placement and cap).
-// name labels the circuit in results and diagnostics.
-func (e *Estimator) EstimateReader(r io.Reader, name string, opt ingest.Options) (*Result, error) {
-	sc := ingest.NewScanner(r, name, opt)
-	defer sc.Close()
-	return e.EstimateStream(sc)
 }
 
 // ftGuard enforces the FT-gate-set precondition on a flowing stream: the
@@ -302,6 +273,9 @@ func (e *Estimator) estimate(qubits, operations int, g *qodg.Graph, ig *iig.Grap
 		return nil, err
 	}
 	finishPath(res, cp)
+	if err := checkFinite("D", res.EstimatedLatency); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -333,12 +307,30 @@ func (e *Estimator) scalarPhase(qubits, operations int, ig *iig.Graph) (*Result,
 		return lham / (p.QubitSpeed * float64(m))
 	})
 
+	if err := checkFinite("d_uncong", res.DUncong); err != nil {
+		return nil, err
+	}
+
 	if ig.TotalWeight() > 0 && res.DUncong > 0 {
 		if err := e.routingLatency(res, ig); err != nil {
 			return nil, err
 		}
+		if err := checkFinite("L_CNOT^avg", res.LCNOTAvg); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
+}
+
+// checkFinite rejects a model quantity that overflowed: finite but extreme
+// parameters (a qubit speed of 1e-320, a T_move near MaxFloat64) pass
+// validation yet drive d_uncong, L_CNOT^avg or D to ±Inf or NaN, which no
+// caller can report or serialize.
+func checkFinite(name string, v float64) error {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmt.Errorf("leqa: %s is %v: the physical parameters overflow the model", name, v)
+	}
+	return nil
 }
 
 // finishPath folds a recovered critical path into the Result — lines 19–20's

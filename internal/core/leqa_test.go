@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
 	"repro/internal/iig"
@@ -384,5 +386,45 @@ func TestResultBookkeeping(t *testing.T) {
 	}
 	if res.ZoneSide < 1 {
 		t.Errorf("zone side = %d", res.ZoneSide)
+	}
+}
+
+// TestNonFiniteModelQuantitiesRejected: parameters that validate (finite,
+// positive) but overflow d_uncong, L_CNOT^avg or D must fail the estimate —
+// single-column and batched alike — instead of returning ±Inf or NaN.
+func TestNonFiniteModelQuantitiesRejected(t *testing.T) {
+	c := circuit.New("pair", 2)
+	c.Append(circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.H, 0), circuit.NewCNOT(0, 1))
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflows := map[string]func(*fabric.Params){
+		"d_uncong": func(p *fabric.Params) { p.QubitSpeed = 1e-320 },
+		"D/tmove":  func(p *fabric.Params) { p.TMove = math.MaxFloat64 },
+		"D/dcnot":  func(p *fabric.Params) { p.DCNOT = math.MaxFloat64 },
+	}
+	ok := defaultEstimator(t, Options{})
+	want, err := ok.Estimate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range overflows {
+		p := fabric.Default()
+		mutate(&p)
+		e, err := New(p, Options{})
+		if err != nil {
+			t.Fatalf("%s: extreme but finite parameters rejected: %v", name, err)
+		}
+		if res, err := e.Estimate(c); err == nil {
+			t.Errorf("%s: Estimate = %v, want an overflow error", name, res.EstimatedLatency)
+		}
+		res, errs := EstimateAnalysisBatch([]*Estimator{ok, e}, a, nil)
+		if errs[0] != nil || !reflect.DeepEqual(res[0], want) {
+			t.Errorf("%s: the finite column was disturbed: %v", name, errs[0])
+		}
+		if errs[1] == nil || res[1] != nil {
+			t.Errorf("%s: batched overflow column = %v, %v; want an error", name, res[1], errs[1])
+		}
 	}
 }

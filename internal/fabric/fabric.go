@@ -9,6 +9,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
 )
@@ -155,19 +156,21 @@ func Default() Params {
 	}
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency. Every delay, speed and move time
+// must be positive and finite: NaN fails every ordered comparison, so a
+// plain "<= 0" test would let it (and ±Inf) through into the model.
 func (p Params) Validate() error {
-	if p.DCNOT <= 0 {
-		return fmt.Errorf("fabric: d_CNOT %.6g must be positive", p.DCNOT)
+	if !positiveFinite(p.DCNOT) {
+		return fmt.Errorf("fabric: d_CNOT %.6g must be positive and finite", p.DCNOT)
 	}
 	if p.ChannelCapacity < 1 {
 		return fmt.Errorf("fabric: channel capacity %d < 1", p.ChannelCapacity)
 	}
-	if p.QubitSpeed <= 0 {
-		return fmt.Errorf("fabric: qubit speed %.6g must be positive", p.QubitSpeed)
+	if !positiveFinite(p.QubitSpeed) {
+		return fmt.Errorf("fabric: qubit speed %.6g must be positive and finite", p.QubitSpeed)
 	}
-	if p.TMove <= 0 {
-		return fmt.Errorf("fabric: T_move %.6g must be positive", p.TMove)
+	if !positiveFinite(p.TMove) {
+		return fmt.Errorf("fabric: T_move %.6g must be positive and finite", p.TMove)
 	}
 	if _, err := NewGrid(p.Grid.Width, p.Grid.Height); err != nil {
 		return err
@@ -176,12 +179,14 @@ func (p Params) Validate() error {
 		if !t.IsOneQubit() {
 			return fmt.Errorf("fabric: gate delay declared for non-one-qubit type %s", t)
 		}
-		if d <= 0 {
-			return fmt.Errorf("fabric: delay for %s (%.6g) must be positive", t, d)
+		if !positiveFinite(d) {
+			return fmt.Errorf("fabric: delay for %s (%.6g) must be positive and finite", t, d)
 		}
 	}
 	return nil
 }
+
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // DelayOf returns the ULB execution delay of an FT gate type.
 func (p Params) DelayOf(t circuit.GateType) (float64, error) {

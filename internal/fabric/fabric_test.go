@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -171,6 +172,43 @@ func TestParamsValidateRejects(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d: want validation error", i)
 		}
+	}
+}
+
+// TestParamsValidateNonFinite pins the non-finite rejections: NaN fails
+// every ordered comparison and +Inf is "positive", so both slipped past a
+// plain "<= 0" check into estimates that could not be serialized.
+func TestParamsValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"dcnot NaN", func(p *Params) { p.DCNOT = nan }},
+		{"dcnot +Inf", func(p *Params) { p.DCNOT = inf }},
+		{"dcnot -Inf", func(p *Params) { p.DCNOT = -inf }},
+		{"speed NaN", func(p *Params) { p.QubitSpeed = nan }},
+		{"speed +Inf", func(p *Params) { p.QubitSpeed = inf }},
+		{"tmove NaN", func(p *Params) { p.TMove = nan }},
+		{"tmove +Inf", func(p *Params) { p.TMove = inf }},
+		{"tmove -Inf", func(p *Params) { p.TMove = -inf }},
+		{"delay NaN", func(p *Params) { p.GateDelay[circuit.T] = nan }},
+		{"delay +Inf", func(p *Params) { p.GateDelay[circuit.H] = inf }},
+	}
+	for _, tc := range cases {
+		p := Default().Clone()
+		tc.mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: want validation error", tc.name)
+		}
+	}
+	// Extreme but finite values stay valid; the estimator reports any
+	// overflow they cause.
+	p := Default()
+	p.QubitSpeed = 1e-320
+	p.TMove = math.MaxFloat64
+	if err := p.Validate(); err != nil {
+		t.Errorf("finite extremes rejected: %v", err)
 	}
 }
 

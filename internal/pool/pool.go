@@ -71,7 +71,7 @@ type indexed[T any] struct {
 // ForEachOrdered runs fn(i) for every i in [0, n) across a bounded worker
 // pool and hands each result to emit in strict index order, as soon as the
 // contiguous prefix through that index has completed — the primitive behind
-// the streaming sweep engines: result 0 is emitted while later indices are
+// the Runner's streaming engine: result 0 is emitted while later indices are
 // still computing. emit runs on the caller's goroutine, so it may safely
 // write to non-thread-safe sinks (an http.ResponseWriter, a bufio.Writer).
 // A non-nil emit error stops the feed — fn is then not called for indices

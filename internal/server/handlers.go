@@ -168,7 +168,8 @@ func (s *Server) handleEstimateQC(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sc.Close()
 	capped := &gateCapStream{src: sc, max: s.cfg.MaxGates}
-	res, err := s.runner.EstimateStreamWith(ctx, capped, p)
+	upload := leqa.Source{Name: name, Open: func() (leqa.GateStream, error) { return capped, nil }}
+	res, err := firstCell(s.runner.SweepGridSources(ctx, []leqa.Source{upload}, []leqa.Params{p}))
 	if err != nil {
 		var nft *leqa.NonFTError
 		if errors.As(err, &nft) && decompose {
@@ -224,7 +225,12 @@ func (s *Server) tryDecomposeFallback(ctx context.Context, sc ingest.Stream, nam
 		return nil, capExceeded("circuit %q has %d operations, over the server cap of %d",
 			c.Name, c.NumGates(), s.cfg.MaxGates)
 	}
-	cells, err := s.runner.SweepGrid(ctx, []*leqa.Circuit{c}, []leqa.Params{p})
+	return firstCell(s.runner.SweepGrid(ctx, []*leqa.Circuit{c}, []leqa.Params{p}))
+}
+
+// firstCell unwraps a one-cell engine run: the cell's outcome, or the
+// run's error when no cell came back (a parameter-set validation failure).
+func firstCell(cells []leqa.GridCell, err error) (*leqa.EstimateResult, error) {
 	if len(cells) == 0 {
 		return nil, err
 	}
@@ -333,84 +339,40 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint st
 		s.writeError(w, err)
 		return
 	}
-	// Parameter sets must be valid before the 200 streaming header goes
-	// out; the engine would reject them only after headers are sent.
-	for j := range paramSets {
-		if err := paramSets[j].Validate(); err != nil {
-			s.writeError(w, badRequest("parameter set %d: %v", j, err))
-			return
-		}
-	}
-
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
-	// Resolve every spec across the engine's pool — generation and FT
-	// lowering are the expensive half of a generated batch, so they should
-	// not serialize on the handler goroutine ahead of the first row — with
-	// the request context observed per spec. Batches holding by-reference
-	// specs resolve to lazy sources and run the source engine (store-backed
-	// analyses feed cells directly); inline-only batches keep the
-	// materialized engine.
+	// Resolve every spec to an engine source across the engine's pool —
+	// generation and FT lowering are the expensive half of a generated
+	// batch, so they should not serialize on the handler goroutine ahead of
+	// the first row — with the request context observed per spec. By-ref
+	// specs become store-resident analyses, inline and generated ones
+	// materialized circuits; the engine takes both in one run.
 	decompose := wantDecompose(opts)
-	hasRef := false
-	for i := range specs {
-		if specs[i].Ref != "" {
-			hasRef = true
-			break
-		}
-	}
-	resolved := make([]*leqa.Circuit, len(specs))
 	sources := make([]leqa.Source, len(specs))
-	ok := make([]bool, len(specs))
 	resolveErrs := make([]error, len(specs))
 	names := make([]string, len(specs))
 	pool.ForEach(len(specs), s.runner.Workers(), false, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			resolveErrs[i] = err
-			names[i] = specLabel(specs[i], i)
-			return nil
+		err := ctx.Err()
+		if err == nil {
+			sources[i], err = s.resolveSource(ctx, specs[i], decompose)
 		}
-		if hasRef {
-			src, serr := s.resolveSource(ctx, specs[i], decompose)
-			if serr != nil {
-				resolveErrs[i] = serr
-				names[i] = specLabel(specs[i], i)
-				return nil
-			}
-			sources[i], names[i], ok[i] = src, src.Name, true
-			return nil
+		if err != nil {
+			resolveErrs[i], names[i] = err, specLabel(specs[i], i)
 		}
-		c, cerr := s.resolveCircuit(ctx, specs[i], decompose)
-		if cerr != nil {
-			resolveErrs[i] = cerr
-			names[i] = specLabel(specs[i], i)
-			return nil
-		}
-		resolved[i], names[i], ok[i] = c, c.Name, true
 		return nil
 	})
-	goodCircuits := make([]*leqa.Circuit, 0, len(specs))
-	goodSources := make([]leqa.Source, 0, len(specs))
+	good := make([]leqa.Source, 0, len(specs))
 	orig := make([]int, 0, len(specs))
 	for i := range specs {
-		if !ok[i] {
-			continue
+		if resolveErrs[i] == nil {
+			good = append(good, sources[i])
+			orig = append(orig, i)
 		}
-		if hasRef {
-			goodSources = append(goodSources, sources[i])
-		} else {
-			goodCircuits = append(goodCircuits, resolved[i])
-		}
-		orig = append(orig, i)
 	}
 	enc := newRowEncoder(w, r)
 	st := &batchStream{s: s, em: s.endpoints[endpoint], enc: enc, paramSets: paramSets, resolveErrs: resolveErrs, names: names, orig: orig, tr: trace.FromContext(ctx)}
-	if hasRef {
-		err = runner.SweepGridSourcesStream(ctx, goodSources, paramSets, st.engineCell)
-	} else {
-		err = runner.SweepGridStream(ctx, goodCircuits, paramSets, st.engineCell)
-	}
+	err = runner.SweepGridSourcesStream(ctx, good, paramSets, st.engineCell)
 	if err == nil {
 		err = st.finish()
 	}

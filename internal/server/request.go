@@ -87,9 +87,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
 }
 
-// paramsFromSpec overlays one ParamSpec on the server's base parameter set.
-// Full validation happens once the engine binds estimators; only the
-// syntactic grid shape is checked here.
+// paramsFromSpec overlays one ParamSpec on the server's base parameter set
+// and validates the result, so a bad parameter set is a 400 before any
+// work starts — and before a streaming reply's 200 header goes out.
 func (s *Server) paramsFromSpec(spec *client.ParamSpec) (leqa.Params, error) {
 	p := s.cfg.Params.Clone()
 	if spec == nil {
@@ -110,6 +110,9 @@ func (s *Server) paramsFromSpec(spec *client.ParamSpec) (leqa.Params, error) {
 	}
 	if spec.TMove != nil {
 		p.TMove = *spec.TMove
+	}
+	if err := p.Validate(); err != nil {
+		return p, badRequest("%v", err)
 	}
 	return p, nil
 }
@@ -149,10 +152,8 @@ func (s *Server) runnerFor(spec *client.OptionsSpec) (*leqa.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Analyses are estimator-option-independent, so transient runners share
-	// the server's content-addressed store; the result memo's key includes
-	// the runner's options, so sharing it across option overlays is safe too.
-	r.SetAnalysisStore(s.store)
+	// The result memo's key includes the runner's options, so sharing it
+	// across option overlays is safe.
 	if s.memo != nil {
 		r.SetResultMemo(s.memo)
 	}

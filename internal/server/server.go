@@ -331,7 +331,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: analysis store: %w", err)
 	}
-	runner.SetAnalysisStore(store)
 	var memo *leqa.ResultMemo
 	if cfg.ResultMemoEntries >= 0 {
 		memo = leqa.NewResultMemo(cfg.ResultMemoEntries)
@@ -612,13 +611,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeJSON renders v as the whole reply.
+// writeJSON renders v as the whole reply. The body is encoded before the
+// status goes out, so a value that cannot be encoded is a visible 500, not
+// a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(client.APIError{Message: "encoding reply: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 // writeJSONError renders the service's error envelope.

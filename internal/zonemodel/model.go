@@ -197,13 +197,17 @@ func productHistogram(grid fabric.Grid, side int) []productBin {
 }
 
 // profileHistogram counts how many coordinates share each distinct profile
-// value. The profile takes at most min(s, n−s+1) distinct values.
+// value, in closed form: with m = min(s, n−s+1), each value v < m occurs
+// at x = v and x = n−v+1, and m covers the other n − 2(m−1) coordinates.
+// That is O(m) time and space however wide the fabric is — a request for
+// a 10⁹-ULB side must not allocate the side's profile.
 func profileHistogram(n, s int) map[int]int {
-	f := CoverProfile(n, s)
-	h := make(map[int]int)
-	for x := 1; x <= n; x++ {
-		h[int(f[x])]++
+	m := min(s, n-s+1)
+	h := make(map[int]int, m)
+	for v := 1; v < m; v++ {
+		h[v] = 2
 	}
+	h[m] = n - 2*(m-1)
 	return h
 }
 

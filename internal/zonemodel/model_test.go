@@ -50,6 +50,34 @@ func TestHistogramMatchesCellScan(t *testing.T) {
 	}
 }
 
+// TestProfileHistogramClosedForm checks the closed-form histogram against
+// a count over CoverProfile for every side of small fabrics, and that a
+// fabric side far beyond memory costs only O(zone side).
+func TestProfileHistogramClosedForm(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for s := 1; s <= n; s++ {
+			want := map[int]int{}
+			f := CoverProfile(n, s)
+			for x := 1; x <= n; x++ {
+				want[int(f[x])]++
+			}
+			got := profileHistogram(n, s)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d s=%d: %v, want %v", n, s, got, want)
+			}
+			for v, c := range want {
+				if got[v] != c {
+					t.Fatalf("n=%d s=%d: %v, want %v", n, s, got, want)
+				}
+			}
+		}
+	}
+	huge := fabric.Grid{Width: 1 << 40, Height: 1 << 40}
+	if _, err := Compute(testKey(huge, 3, 12, 12)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExpectedSurfaceEq3Constraint(t *testing.T) {
 	// Σ_{q=0..Q} E[S_q] = A (Eq. 3), including on asymmetric grids.
 	for _, grid := range []fabric.Grid{

@@ -142,25 +142,6 @@ func TestSweepGridEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestGridCellsAdapter(t *testing.T) {
-	c, err := GenerateFT("8bitadder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	results, err := Sweep(context.Background(), []*Circuit{c}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := GridCells(results, p)
-	if len(cells) != 1 || cells[0].Name != c.Name || cells[0].Result != results[0].Result {
-		t.Fatalf("adapter mismatch: %+v", cells)
-	}
-	if cells[0].Params.Grid != p.Grid {
-		t.Errorf("params not propagated")
-	}
-}
-
 func TestWriteResultsEmitters(t *testing.T) {
 	c, err := GenerateFT("8bitadder")
 	if err != nil {

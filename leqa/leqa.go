@@ -147,7 +147,7 @@ func BuildQODG(c *Circuit) (*QODG, error) { return qodg.Build(c) }
 func BuildIIG(c *Circuit) (*IIG, error) { return iig.Build(c) }
 
 // Analyze builds both graphs in one fused streaming pass over the gate
-// list — the front end Estimate and the sweep engines run, exposed for
+// list — the front end Estimate and the Runner engine run, exposed for
 // callers that want to amortize one analysis across many estimates.
 func Analyze(c *Circuit) (*Analysis, error) { return analysis.Analyze(c) }
 

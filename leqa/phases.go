@@ -12,10 +12,11 @@ import (
 // Phase labels reported to the PhaseObserver. One estimation passes through
 // up to three phases:
 //
-//   - PhaseIngest — acquiring the gate source: generating a named
-//     benchmark, opening a lazy stream source, or (server-side) spooling an
-//     upload. Materialized circuits handed to Run directly have no ingest
-//     phase.
+//   - PhaseIngest — acquiring the gate source: opening a lazy stream
+//     source, or (server-side) resolving a circuit spec — generating a
+//     named benchmark, parsing an inline netlist, spooling an upload. A
+//     CircuitSource row has no ingest phase of its own: its gate list is
+//     already in memory.
 //   - PhaseAnalyze — the fused graph build (QODG + IIG). For streamed
 //     sources this includes gate parsing: streaming fuses parse and build
 //     by design, so the parse cost is billed to the analysis that consumes

@@ -3,13 +3,11 @@ package leqa
 import (
 	"context"
 	"io"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/pool"
 )
 
 // Streaming ingestion types, re-exported from the internal packages.
@@ -39,36 +37,14 @@ type (
 )
 
 // NewAppender seeds an incremental Appender from an existing analysis (see
-// Analyze / AnalyzeReader).
+// Analyze).
 func NewAppender(a *Analysis) (*Appender, error) { return analysis.NewAppender(a) }
 
-// AnalyzeReader builds a circuit's analysis from a streamed .qc netlist
-// without materializing its gate list — the front end of the beyond-memory
-// estimation path. The result is estimate-equivalent to Analyze on the
-// parsed circuit (bitwise-identical Results).
-func AnalyzeReader(r io.Reader, name string, opt IngestOptions) (*Analysis, error) {
-	sc := ingest.NewScanner(r, name, opt)
-	defer sc.Close()
-	return analysis.AnalyzeStream(sc)
-}
-
-// EstimateReader runs LEQA on a .qc netlist streamed from r: parsing,
-// analysis and estimation all consume the stream directly, so peak memory
-// is independent of the gate list size. Results are bitwise identical to
-// Estimate on the materialized circuit. The netlist must already be FT —
-// decomposition needs the gate list and is a materialized-path feature.
-func EstimateReader(r io.Reader, name string, p Params, opt IngestOptions) (*EstimateResult, error) {
-	est, err := core.New(p, EstimateOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return est.EstimateReader(r, name, opt)
-}
-
 // Source lazily opens one circuit's gate stream: nothing is read, spooled
-// or analyzed until a sweep worker claims the source. Batch engines accept
-// []Source so a fleet of beyond-memory netlists can queue without their
-// combined footprint ever existing at once.
+// or analyzed until a sweep worker claims the source. The Runner's one
+// engine (SweepGridSourcesStream) takes []Source, so a fleet of
+// beyond-memory netlists can queue without their combined footprint ever
+// existing at once.
 type Source struct {
 	// Name labels the circuit in results and diagnostics.
 	Name string
@@ -91,6 +67,11 @@ type Source struct {
 	// analysis store, typically. It lets the result memo probe for warm
 	// (digest, params) cells before the source is opened or analyzed.
 	Digest string
+
+	// circuit, set by CircuitSource, lets the engine analyze the
+	// materialized gate list directly instead of re-streaming it, and
+	// derive the memo digest from it on demand.
+	circuit *Circuit
 }
 
 // FileSource streams a .qc file, naming the circuit after the file. The
@@ -113,9 +94,11 @@ func ReaderSource(name string, r io.Reader, opt IngestOptions) Source {
 }
 
 // CircuitSource adapts an in-memory circuit so materialized and streamed
-// inputs can share one batch run.
+// inputs can share one batch run. Without an attached store the engine
+// analyzes the gate list in place; Open still yields it as a stream for
+// any other consumer.
 func CircuitSource(c *Circuit) Source {
-	return Source{Name: c.Name, Open: func() (GateStream, error) {
+	return Source{Name: c.Name, circuit: c, Open: func() (GateStream, error) {
 		return analysis.NewCircuitStream(c), nil
 	}}
 }
@@ -191,174 +174,4 @@ func closeStream(src GateStream) {
 	if c, ok := src.(io.Closer); ok {
 		c.Close()
 	}
-}
-
-// EstimateStream estimates one gate stream through the runner's pooled
-// arenas and shared estimator: the fused analysis passes consume the stream
-// directly, ctx cancels at gate granularity, and the Result is bitwise
-// identical to the materialized path.
-func (r *Runner) EstimateStream(ctx context.Context, src GateStream) (*EstimateResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ar := r.arena()
-	defer r.release(ar)
-	return estimateStreamPhased(ctx, r.est, &ctxStream{src: src, ctx: ctx}, ar)
-}
-
-// estimateStreamPhased is EstimateStreamArena with the analyze/estimate
-// boundary reported to the phase observer; the split composition is bitwise
-// identical to the fused call.
-func estimateStreamPhased(ctx context.Context, est *core.Estimator, src GateStream, ar *analysis.Arena) (*EstimateResult, error) {
-	t := time.Now()
-	a, err := est.AnalyzeStreamFT(src, ar)
-	observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-		if a == nil {
-			return "streamed"
-		}
-		return "streamed gates=" + itoa(a.Operations)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t = time.Now()
-	res, err := est.EstimateAnalysisArena(a, ar)
-	observePhase(ctx, PhaseEstimate, t)
-	return res, err
-}
-
-// EstimateStreamWith is EstimateStream under an explicit parameter set —
-// the estimation service's overlay path, which shares the runner's arena
-// pool (and through the zone-model memo, its cached fabrics) while binding
-// per-request physics.
-func (r *Runner) EstimateStreamWith(ctx context.Context, src GateStream, p Params) (*EstimateResult, error) {
-	est, err := core.New(p, r.opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ar := r.arena()
-	defer r.release(ar)
-	return estimateStreamPhased(ctx, est, &ctxStream{src: src, ctx: ctx}, ar)
-}
-
-// estimateSource opens one lazy source and estimates its stream — the
-// per-item work of the source sweeps. With an attached analysis store (or
-// an Analysis-backed source) the stream feeds the store's digest+analyze
-// path and Algorithm 1 runs on the shared analysis; otherwise the gates
-// flow straight through the worker's arena.
-func (r *Runner) estimateSource(ctx context.Context, s Source) (*EstimateResult, error) {
-	if s.Analysis != nil || r.store != nil {
-		a, err := r.analyzeSource(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return r.estimateShared(ctx, r.est, a)
-	}
-	t := time.Now()
-	src, err := s.Open()
-	observePhaseDetail(ctx, PhaseIngest, t, func() string { return "open=" + s.Name })
-	if err != nil {
-		return nil, err
-	}
-	defer closeStream(src)
-	return r.EstimateStream(ctx, src)
-}
-
-// RunSources is Run over lazily opened gate streams: each worker opens,
-// streams and estimates its source without the gate list ever
-// materializing. Results keep input order; per-source failures land in
-// SweepResult.Err.
-func (r *Runner) RunSources(ctx context.Context, sources []Source) ([]SweepResult, error) {
-	results := make([]SweepResult, 0, len(sources))
-	err := r.RunSourcesStream(ctx, sources, func(sr SweepResult) error {
-		results = append(results, sr)
-		return nil
-	})
-	return results, err
-}
-
-// RunSourcesStream is RunSources with per-result delivery in input order.
-func (r *Runner) RunSourcesStream(ctx context.Context, sources []Source, emit func(SweepResult) error) error {
-	return r.runStream(ctx, len(sources), func(i int) SweepResult {
-		sr := SweepResult{Index: i, Name: sources[i].Name}
-		sr.Result, sr.Err = r.estimateSource(ctx, sources[i])
-		return sr
-	}, func(i int) string { return sources[i].Name }, emit)
-}
-
-// SweepGridSources estimates the sources × paramSets cross product — the
-// streamed counterpart of SweepGrid. With one parameter column each cell
-// streams straight through its worker's arena; with several, each source is
-// streamed and analyzed exactly once (by whichever worker first needs it)
-// and the shared immutable analysis feeds every column, so a beyond-memory
-// netlist is read once per run, not once per cell.
-func (r *Runner) SweepGridSources(ctx context.Context, sources []Source, paramSets []Params) ([]GridCell, error) {
-	cells := make([]GridCell, 0, len(sources)*len(paramSets))
-	err := r.SweepGridSourcesStream(ctx, sources, paramSets, func(cell GridCell) error {
-		cells = append(cells, cell)
-		return nil
-	})
-	if err != nil && len(cells) == 0 && ctx.Err() == nil {
-		return nil, err // parameter-set validation failure: nothing ran
-	}
-	return cells, err
-}
-
-// SweepGridSourcesStream is SweepGridSources with per-row delivery in
-// circuit-major input order, mirroring SweepGridStream's contract: each
-// worker owns one source's whole row, analyzes it once (store-shared when a
-// store is attached) and estimates every parameter column in one batched
-// call — consulting the result memo first when the source's digest is
-// already known.
-func (r *Runner) SweepGridSourcesStream(ctx context.Context, sources []Source, paramSets []Params, emit func(GridCell) error) error {
-	ests, err := r.gridEstimators(paramSets)
-	if err != nil {
-		return err
-	}
-	cols := newGridColumns(paramSets)
-	err = pool.ForEachOrdered(len(sources), r.workers, func(i int) []GridCell {
-		s := sources[i]
-		row := make([]GridCell, len(paramSets))
-		for j := range row {
-			row[j] = GridCell{
-				CircuitIndex: i,
-				ParamsIndex:  j,
-				Name:         s.Name,
-				Params:       paramSets[j],
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			for j := range row {
-				row[j].Err = err
-			}
-			return row
-		}
-		ar := r.arena()
-		defer r.release(ar)
-		if len(paramSets) == 1 && s.Analysis == nil && r.store == nil && (r.memo == nil || s.Digest == "") {
-			// Single column, no store, no memo probe possible: the stream
-			// feeds exactly one cell, so the whole analyze+estimate runs in
-			// this worker's arena.
-			src, err := s.Open()
-			if err != nil {
-				row[0].Err = err
-				return row
-			}
-			defer closeStream(src)
-			row[0].Result, row[0].Err = estimateStreamPhased(ctx, ests[0], &ctxStream{src: src, ctx: ctx}, ar)
-			return row
-		}
-		r.estimateRow(ctx, row, ests, cols,
-			func() (string, bool) { return s.Digest, s.Digest != "" },
-			func() (*analysis.Analysis, error) { return r.analyzeSource(ctx, s) },
-			ar)
-		return row
-	}, emitRow(emit))
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
 }

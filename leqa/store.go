@@ -1,21 +1,16 @@
 package leqa
 
 import (
-	"context"
 	"io"
-	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/qcbin"
 	"repro/internal/store"
-	"repro/leqa/trace"
 )
 
 // Content-addressed analysis store, re-exported from internal/store. An
-// AnalysisStore attached to a Runner (SetAnalysisStore) turns the source
-// sweeps into "parse once, estimate forever" paths: every estimate first
-// digests the gate stream (SHA-256 of the canonical gate records) and a
+// AnalysisStore attached to a Runner (SetAnalysisStore) turns the engine
+// into a "parse once, estimate forever" path: every row first digests
+// its gate stream (SHA-256 of the canonical gate records) and a
 // resident analysis — memory LRU or persisted .qca image — skips the fused
 // graph build entirely. Store hits are bitwise identical to fresh analyses.
 type (
@@ -41,9 +36,9 @@ func NewAnalysisStore(opt AnalysisStoreOptions) (*AnalysisStore, error) {
 }
 
 // SetAnalysisStore attaches a content-addressed analysis store to the
-// runner's source paths (RunSources, SweepGridSources and the streams
-// beneath them): each source is digested on open, and a store hit skips
-// analysis. nil detaches. Set before concurrent runs start; the field is
+// runner's engine: each source without a pre-built Analysis — circuits
+// included — is digested on open, and a store hit skips analysis. nil
+// detaches. Set before concurrent runs start; the field is
 // read unsynchronized on the estimate path. Attaching a store never changes
 // results — a hit returns the same CSR content a fresh analysis builds.
 func (r *Runner) SetAnalysisStore(s *AnalysisStore) { r.store = s }
@@ -74,71 +69,3 @@ func FormatDigestRef(digest string) string { return qcbin.FormatRef(digest) }
 // (.qcb). The encoding round-trips bitwise: decoding yields a circuit with
 // the same register and gate list, and the same content digest.
 func WriteQCB(w io.Writer, c *Circuit) error { return qcbin.EncodeCircuit(w, c) }
-
-// analyzeSource produces one source's analysis: directly from an
-// Analysis-backed source, through the attached store when one is set (a
-// hit skips the graph build; a miss analyzes and persists), or by plain
-// streaming analysis. The heap-allocated result is safe to share across
-// workers and outlive the call.
-func (r *Runner) analyzeSource(ctx context.Context, s Source) (*analysis.Analysis, error) {
-	if s.Analysis != nil {
-		// By-reference resolution: no ingest or graph build happened, but a
-		// zero-duration analyze span keeps the request's store attribution
-		// visible — which tier answered when the resolver said, "ref" when
-		// the analysis arrived pre-built with no provenance.
-		if tr := trace.FromContext(ctx); tr != nil {
-			outcome := s.StoreOutcome
-			if outcome == "" {
-				outcome = "ref"
-			}
-			tr.Observe(trace.SpanAnalyze, "store="+outcome+" gates="+itoa(s.Analysis.Operations), time.Now(), 0)
-		}
-		return s.Analysis, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t := time.Now()
-	src, err := s.Open()
-	observePhaseDetail(ctx, PhaseIngest, t, func() string { return "open=" + s.Name })
-	if err != nil {
-		return nil, err
-	}
-	defer closeStream(src)
-	cs := &ctxStream{src: src, ctx: ctx}
-	t = time.Now()
-	var a *analysis.Analysis
-	if r.store != nil {
-		var outcome store.Outcome
-		a, _, outcome, err = r.store.GetOrAnalyzeOutcome(cs)
-		observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-			if a == nil {
-				return "store=" + outcome.String()
-			}
-			return "store=" + outcome.String() + " gates=" + itoa(a.Operations)
-		})
-	} else {
-		a, err = analysis.AnalyzeStream(cs)
-		observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-			if a == nil {
-				return "streamed"
-			}
-			return "streamed gates=" + itoa(a.Operations)
-		})
-	}
-	return a, err
-}
-
-// estimateShared runs Algorithm 1 on a shared (store- or caller-owned)
-// analysis through a pooled arena.
-func (r *Runner) estimateShared(ctx context.Context, est *core.Estimator, a *analysis.Analysis) (*EstimateResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ar := r.arena()
-	defer r.release(ar)
-	t := time.Now()
-	res, err := est.EstimateAnalysisArena(a, ar)
-	observePhase(ctx, PhaseEstimate, t)
-	return res, err
-}

@@ -23,9 +23,9 @@ func storeRunner(t *testing.T, opt leqa.AnalysisStoreOptions) (*leqa.Runner, *le
 	return r, st
 }
 
-// TestRunSourcesWithStore proves the store-backed source sweep is bitwise
-// identical to the plain streaming one, and that re-running the same
-// sources turns analyses into store hits.
+// TestRunSourcesWithStore proves a store-backed single-column source run is
+// bitwise identical to the plain streaming one, and that re-running the
+// same sources turns analyses into store hits.
 func TestRunSourcesWithStore(t *testing.T) {
 	circuits := streamTestCircuits(t, "ham7", "4bitadder")
 	paths := writeQCFiles(t, circuits)
@@ -40,13 +40,14 @@ func TestRunSourcesWithStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.RunSources(context.Background(), sources())
+	col := []leqa.Params{leqa.DefaultParams()}
+	want, err := plain.SweepGridSources(context.Background(), sources(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	r, st := storeRunner(t, leqa.AnalysisStoreOptions{Dir: t.TempDir()})
-	got, err := r.RunSources(context.Background(), sources())
+	got, err := r.SweepGridSources(context.Background(), sources(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRunSourcesWithStore(t *testing.T) {
 		t.Fatalf("first run misses = %d, want 2 (%s)", s.Misses, s)
 	}
 
-	again, err := r.RunSources(context.Background(), sources())
+	again, err := r.SweepGridSources(context.Background(), sources(), col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,50 +7,76 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/pool"
+	"repro/leqa/trace"
 )
 
-// This file holds the streaming counterparts of Run/RunNamed/SweepGrid:
-// identical computation fanned across the same pool, but every finished row
-// is handed to a caller-supplied emit callback in strict input order as
-// soon as the contiguous prefix through that row has completed — row 0 is
-// delivered while later rows are still computing. The batch engines collect
-// these streams, so streamed and collected results are bitwise identical.
-//
-// emit runs on the caller's goroutine (safe for http.ResponseWriter and
-// other single-goroutine sinks). A non-nil emit error — a disconnected
-// network client, typically — stops the feed early and is returned; fn
-// work not yet started is never run.
+// This file is the Runner's one estimation engine. Every estimate — a
+// materialized circuit, a streamed netlist, a store-resident analysis —
+// is a row: one Source under every parameter column. A worker owns the
+// whole row, analyzes the source at most once in its own arena, and runs
+// the estimate phase as one batched core.EstimateAnalysisBatch call (a
+// single column is a row of one). Rows reach the caller in strict input
+// order as soon as the contiguous prefix through them has completed, so
+// the collected and streamed forms are bitwise identical by construction.
 
-// SweepGridStream estimates the circuits × paramSets cross product exactly
-// like SweepGrid — cells in circuit-major input order — but delivers every
-// GridCell to emit as soon as its row completes instead of collecting the
-// batch. Each worker owns one whole row (one circuit × every parameter
-// column): it analyzes the circuit once in its own arena and runs the
-// estimate phase as a single batched core.EstimateAnalysisBatch call, so the
-// QODG adjacency streams through the cache once for all columns.
-// Cancellation is observed per row: cells that never ran carry ctx's error,
-// and the function returns ctx.Err() after the last delivery. A
-// parameter-set validation failure is returned before any work starts.
-func (r *Runner) SweepGridStream(ctx context.Context, circuits []*Circuit, paramSets []Params, emit func(GridCell) error) error {
+// SweepGridSources estimates the sources × paramSets cross product and
+// collects the cells in circuit-major input order: the cell for source i
+// under parameter set j is at index i·len(paramSets)+j. Each source is
+// opened and analyzed exactly once, and the analysis feeds every column,
+// so a beyond-memory netlist is read once per run, not once per cell.
+// Duplicate parameter columns are estimated once. The error is non-nil
+// when ctx was cancelled or a parameter set fails validation (then no
+// cell is returned); per-source and per-cell failures land in
+// GridCell.Err.
+func (r *Runner) SweepGridSources(ctx context.Context, sources []Source, paramSets []Params) ([]GridCell, error) {
+	cells := make([]GridCell, 0, len(sources)*len(paramSets))
+	err := r.SweepGridSourcesStream(ctx, sources, paramSets, func(cell GridCell) error {
+		cells = append(cells, cell)
+		return nil
+	})
+	if err != nil && len(cells) == 0 && ctx.Err() == nil {
+		return nil, err // parameter-set validation failure: nothing ran
+	}
+	return cells, err
+}
+
+// SweepGridSourcesStream is SweepGridSources with per-row delivery: every
+// cell reaches emit, in circuit-major input order, as soon as its row and
+// every row before it have completed. emit runs on the caller's goroutine
+// (safe for http.ResponseWriter and other single-goroutine sinks). A
+// non-nil emit error — a disconnected client, typically — stops the feed
+// and is returned; rows not yet started never run. Cancellation is
+// observed per row and per gate: cells that never ran carry ctx's error,
+// every (source, params) pair is still delivered, and the function
+// returns ctx.Err() after the last delivery. A parameter-set validation
+// failure is returned before any work starts.
+//
+// How a row obtains its analysis depends on the source:
+//   - Source.Analysis set: used as given; Open is never called.
+//   - an attached AnalysisStore: the stream is digested and resolved
+//     through the store (a hit skips the graph build, a miss analyzes and
+//     persists).
+//   - CircuitSource: the gate list is analyzed in place, and its digest is
+//     computed only when the result memo needs it.
+//   - any other source: the opened stream flows through the FT guard into
+//     the streamed analysis.
+//
+// With a result memo attached and the digest known, memo-hit columns skip
+// analyze and estimate entirely.
+func (r *Runner) SweepGridSourcesStream(ctx context.Context, sources []Source, paramSets []Params, emit func(GridCell) error) error {
 	ests, err := r.gridEstimators(paramSets)
 	if err != nil {
 		return err
 	}
 	cols := newGridColumns(paramSets)
-	// Stream the cross product row by row. Every row is dispatched even
-	// after cancellation — cancelled cells carry the context error — so the
-	// stream always accounts for every (circuit, params) pair. Each row
-	// borrows a pooled arena for both phases' scratch: the analysis feeds
-	// exactly this row, so the graph build runs in the same arena and the
-	// whole row is near-allocation-free once the pool is warm.
-	err = pool.ForEachOrdered(len(circuits), r.workers, func(i int) []GridCell {
-		c := circuits[i]
+	err = pool.ForEachOrdered(len(sources), r.workers, func(i int) []GridCell {
+		s := sources[i]
 		row := make([]GridCell, len(paramSets))
 		for j := range row {
 			row[j] = GridCell{
 				CircuitIndex: i,
 				ParamsIndex:  j,
-				Name:         c.Name,
+				Name:         s.Name,
 				Params:       paramSets[j],
 			}
 		}
@@ -60,37 +86,120 @@ func (r *Runner) SweepGridStream(ctx context.Context, circuits []*Circuit, param
 			}
 			return row
 		}
+		// The row's analysis feeds exactly this row, so the graph build and
+		// the estimate scratch share one pooled arena, and a warm row is
+		// near-allocation-free.
 		ar := r.arena()
 		defer r.release(ar)
-		r.estimateRow(ctx, row, ests, cols,
-			func() (string, bool) {
-				if ftError(c) != nil {
-					return "", false
-				}
-				d, err := CircuitDigest(c)
-				return d, err == nil
-			},
-			func() (*analysis.Analysis, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if err := ftError(c); err != nil {
-					return nil, err
-				}
-				t := time.Now()
-				a, err := ar.Analyze(c)
-				observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-					return "gates=" + itoa(c.NumGates())
-				})
-				return a, err
-			},
-			ar)
+		digest, analyze := r.rowSource(ctx, s, ar)
+		r.estimateRow(ctx, row, ests, cols, digest, analyze, ar)
 		return row
 	}, emitRow(emit))
 	if err != nil {
 		return err
 	}
 	return ctx.Err()
+}
+
+// rowSource picks how one source's row learns its digest and builds its
+// analysis (see SweepGridSourcesStream). Both callbacks are lazy:
+// estimateRow calls each at most once, and not at all when the memo
+// answers every column.
+func (r *Runner) rowSource(ctx context.Context, s Source, ar *analysis.Arena) (digest func() (string, bool), analyze func() (*analysis.Analysis, error)) {
+	digest = func() (string, bool) { return s.Digest, s.Digest != "" }
+	switch {
+	case s.Analysis != nil:
+		analyze = func() (*analysis.Analysis, error) {
+			// By-reference resolution: no ingest or graph build happened, but
+			// a zero-duration analyze span keeps the request's store
+			// attribution visible — which tier answered when the resolver
+			// said, "ref" when the analysis arrived with no provenance.
+			if tr := trace.FromContext(ctx); tr != nil {
+				outcome := s.StoreOutcome
+				if outcome == "" {
+					outcome = "ref"
+				}
+				tr.Observe(trace.SpanAnalyze, "store="+outcome+" gates="+itoa(s.Analysis.Operations), time.Now(), 0)
+			}
+			return s.Analysis, nil
+		}
+	case r.store != nil:
+		analyze = func() (*analysis.Analysis, error) {
+			src, err := openSource(ctx, s)
+			if err != nil {
+				return nil, err
+			}
+			defer closeStream(src.src)
+			t := time.Now()
+			a, _, outcome, err := r.store.GetOrAnalyzeOutcome(src)
+			observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
+				d := "store=" + outcome.String()
+				if a != nil {
+					d += " gates=" + itoa(a.Operations)
+				}
+				return d
+			})
+			return a, err
+		}
+	case s.circuit != nil:
+		c := s.circuit
+		if s.Digest == "" {
+			digest = func() (string, bool) {
+				if ftError(c) != nil {
+					return "", false
+				}
+				d, err := CircuitDigest(c)
+				return d, err == nil
+			}
+		}
+		analyze = func() (*analysis.Analysis, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if err := ftError(c); err != nil {
+				return nil, err
+			}
+			t := time.Now()
+			a, err := ar.Analyze(c)
+			observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
+				return "gates=" + itoa(c.NumGates())
+			})
+			return a, err
+		}
+	default:
+		analyze = func() (*analysis.Analysis, error) {
+			src, err := openSource(ctx, s)
+			if err != nil {
+				return nil, err
+			}
+			defer closeStream(src.src)
+			t := time.Now()
+			a, err := r.est.AnalyzeStreamFT(src, ar)
+			observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
+				if a == nil {
+					return "streamed"
+				}
+				return "streamed gates=" + itoa(a.Operations)
+			})
+			return a, err
+		}
+	}
+	return digest, analyze
+}
+
+// openSource opens a lazy source as the row's ingest phase and threads
+// ctx's cancellation into the flowing stream.
+func openSource(ctx context.Context, s Source) (*ctxStream, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	t := time.Now()
+	src, err := s.Open()
+	observePhaseDetail(ctx, PhaseIngest, t, func() string { return "open=" + s.Name })
+	if err != nil {
+		return nil, err
+	}
+	return &ctxStream{src: src, ctx: ctx}, nil
 }
 
 // emitRow adapts a per-cell emit callback to the row-granular pool stream.
@@ -244,40 +353,4 @@ func (r *Runner) estimateRow(ctx context.Context, row []GridCell, ests []*core.E
 		j := cols.rep[jj]
 		row[jj].Result, row[jj].Err = res[j], errs[j]
 	}
-}
-
-// RunStream is Run with per-result delivery: every SweepResult reaches emit
-// in input order as soon as its prefix is complete.
-func (r *Runner) RunStream(ctx context.Context, circuits []*Circuit, emit func(SweepResult) error) error {
-	return r.runStream(ctx, len(circuits), func(i int) SweepResult {
-		c := circuits[i]
-		sr := SweepResult{Index: i, Name: c.Name}
-		sr.Result, sr.Err = r.estimateOne(ctx, c)
-		return sr
-	}, func(i int) string { return circuits[i].Name }, emit)
-}
-
-// RunNamedStream is RunNamed with per-result delivery: generation, FT
-// lowering, graph builds and estimation all happen inside the pool, and
-// each finished benchmark streams out in input order.
-func (r *Runner) RunNamedStream(ctx context.Context, names []string, emit func(SweepResult) error) error {
-	return r.runStream(ctx, len(names), func(i int) SweepResult {
-		return r.generateAndEstimate(ctx, i, names[i])
-	}, func(i int) string { return names[i] }, emit)
-}
-
-// runStream fans the per-item work across the pool and delivers results in
-// input order. Cancelled slots fast-path into error results so the stream
-// accounts for every input; emit failures stop the feed.
-func (r *Runner) runStream(ctx context.Context, n int, work func(i int) SweepResult, name func(i int) string, emit func(SweepResult) error) error {
-	err := pool.ForEachOrdered(n, r.workers, func(i int) SweepResult {
-		if err := ctx.Err(); err != nil {
-			return SweepResult{Index: i, Name: name(i), Err: err}
-		}
-		return work(i)
-	}, emit)
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
 }

@@ -22,6 +22,15 @@ func streamTestCircuits(t *testing.T, names ...string) []*leqa.Circuit {
 	return circuits
 }
 
+// circuitSources wraps in-memory circuits as engine sources.
+func circuitSources(circuits []*leqa.Circuit) []leqa.Source {
+	sources := make([]leqa.Source, len(circuits))
+	for i, c := range circuits {
+		sources[i] = leqa.CircuitSource(c)
+	}
+	return sources
+}
+
 func streamTestParams() []leqa.Params {
 	small := leqa.DefaultParams()
 	small.Grid = leqa.Grid{Width: 20, Height: 20}
@@ -32,8 +41,8 @@ func streamTestParams() []leqa.Params {
 }
 
 // TestSweepGridStreamMatchesSweepGrid pins the contract the HTTP service
-// relies on: the streamed cells are bitwise identical to the collected
-// batch, and arrive in circuit-major input order.
+// relies on: the engine's streamed cells are bitwise identical to the
+// collected batch, and arrive in circuit-major input order.
 func TestSweepGridStreamMatchesSweepGrid(t *testing.T) {
 	circuits := streamTestCircuits(t, "ham7", "4bitadder", "mod16adder")
 	paramSets := streamTestParams()
@@ -48,7 +57,7 @@ func TestSweepGridStreamMatchesSweepGrid(t *testing.T) {
 	}
 
 	var got []leqa.GridCell
-	err = r.SweepGridStream(context.Background(), circuits, paramSets, func(cell leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(context.Background(), circuitSources(circuits), paramSets, func(cell leqa.GridCell) error {
 		got = append(got, cell)
 		return nil
 	})
@@ -80,7 +89,7 @@ func TestSweepGridStreamEmitErrorStopsStream(t *testing.T) {
 	}
 	boom := errors.New("client went away")
 	emitted := 0
-	err = r.SweepGridStream(context.Background(), circuits, paramSets, func(leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(context.Background(), circuitSources(circuits), paramSets, func(leqa.GridCell) error {
 		emitted++
 		if emitted == 2 {
 			return boom
@@ -105,7 +114,7 @@ func TestSweepGridStreamCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var got []leqa.GridCell
-	err = r.SweepGridStream(ctx, circuits, paramSets, func(cell leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(ctx, circuitSources(circuits), paramSets, func(cell leqa.GridCell) error {
 		got = append(got, cell)
 		return nil
 	})
@@ -131,59 +140,11 @@ func TestSweepGridStreamRejectsBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.SweepGridStream(context.Background(), circuits, []leqa.Params{bad}, func(leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(context.Background(), circuitSources(circuits), []leqa.Params{bad}, func(leqa.GridCell) error {
 		t.Fatal("emit must not run when a parameter set fails validation")
 		return nil
 	})
 	if err == nil {
 		t.Fatal("want a validation error")
-	}
-}
-
-func TestRunStreamMatchesRun(t *testing.T) {
-	circuits := streamTestCircuits(t, "ham7", "mod16adder")
-	r, err := leqa.NewRunner(leqa.DefaultParams(), leqa.EstimateOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.Run(context.Background(), circuits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []leqa.SweepResult
-	err = r.RunStream(context.Background(), circuits, func(sr leqa.SweepResult) error {
-		got = append(got, sr)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed results differ from batch:\nstream: %+v\nbatch:  %+v", got, want)
-	}
-}
-
-func TestRunNamedStreamPerRowErrors(t *testing.T) {
-	names := []string{"ham7", "no-such-benchmark", "mod16adder"}
-	r, err := leqa.NewRunner(leqa.DefaultParams(), leqa.EstimateOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []leqa.SweepResult
-	err = r.RunNamedStream(context.Background(), names, func(sr leqa.SweepResult) error {
-		got = append(got, sr)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("streamed %d rows, want 3", len(got))
-	}
-	if got[0].Err != nil || got[2].Err != nil {
-		t.Fatalf("good rows failed: %v / %v", got[0].Err, got[2].Err)
-	}
-	if got[1].Err == nil {
-		t.Fatal("bad generator spec must fail its own row only")
 	}
 }

@@ -18,9 +18,10 @@ func sweepSuite(t *testing.T) []string {
 	return Benchmarks()
 }
 
-// TestSweepMatchesSequential is the batch-engine correctness anchor: the
-// concurrent sweep over the built-in benchmarks must return estimates
-// bitwise-identical to sequential Estimate calls.
+// TestSweepMatchesSequential is the batch-engine correctness anchor for a
+// single parameter column: the concurrent sweep over the built-in
+// benchmarks must return estimates bitwise-identical to sequential
+// Estimate calls.
 func TestSweepMatchesSequential(t *testing.T) {
 	names := sweepSuite(t)
 	p := DefaultParams()
@@ -39,58 +40,32 @@ func TestSweepMatchesSequential(t *testing.T) {
 		}
 	}
 
-	results, err := Sweep(context.Background(), circuits, p)
+	cells, err := SweepGrid(context.Background(), circuits, []Params{p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(names) {
-		t.Fatalf("got %d results, want %d", len(results), len(names))
+	if len(cells) != len(names) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(names))
 	}
-	for i, sr := range results {
-		if sr.Err != nil {
-			t.Fatalf("%s: %v", names[i], sr.Err)
+	for i, cell := range cells {
+		if cell.Err != nil {
+			t.Fatalf("%s: %v", names[i], cell.Err)
 		}
-		if sr.Index != i || sr.Name != names[i] {
-			t.Errorf("result %d is %q (index %d), want %q", i, sr.Name, sr.Index, names[i])
+		if cell.CircuitIndex != i || cell.Name != names[i] {
+			t.Errorf("cell %d is %q (index %d), want %q", i, cell.Name, cell.CircuitIndex, names[i])
 		}
 		seq := sequential[i]
-		if sr.Result.EstimatedLatency != seq.EstimatedLatency {
+		if cell.Result.EstimatedLatency != seq.EstimatedLatency {
 			t.Errorf("%s: sweep latency %v != sequential %v",
-				names[i], sr.Result.EstimatedLatency, seq.EstimatedLatency)
+				names[i], cell.Result.EstimatedLatency, seq.EstimatedLatency)
 		}
-		if sr.Result.LCNOTAvg != seq.LCNOTAvg {
+		if cell.Result.LCNOTAvg != seq.LCNOTAvg {
 			t.Errorf("%s: sweep L_CNOT %v != sequential %v",
-				names[i], sr.Result.LCNOTAvg, seq.LCNOTAvg)
+				names[i], cell.Result.LCNOTAvg, seq.LCNOTAvg)
 		}
-		if sr.Result.DUncong != seq.DUncong {
+		if cell.Result.DUncong != seq.DUncong {
 			t.Errorf("%s: sweep d_uncong %v != sequential %v",
-				names[i], sr.Result.DUncong, seq.DUncong)
-		}
-	}
-}
-
-func TestSweepNamedMatchesSweep(t *testing.T) {
-	names := []string{"8bitadder", "ham15"}
-	p := DefaultParams()
-	byName, err := SweepNamed(context.Background(), names, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range names {
-		c, err := GenerateFT(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := Estimate(c, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if byName[i].Err != nil {
-			t.Fatalf("%s: %v", name, byName[i].Err)
-		}
-		if byName[i].Result.EstimatedLatency != seq.EstimatedLatency {
-			t.Errorf("%s: named sweep %v != sequential %v",
-				name, byName[i].Result.EstimatedLatency, seq.EstimatedLatency)
+				names[i], cell.Result.DUncong, seq.DUncong)
 		}
 	}
 }
@@ -105,28 +80,15 @@ func TestSweepPerCircuitErrors(t *testing.T) {
 	bad := circuit.New("raw-toffoli", 3)
 	bad.Append(circuit.NewToffoli(0, 1, 2))
 
-	results, err := Sweep(context.Background(), []*Circuit{good, bad, good}, DefaultParams())
+	cells, err := SweepGrid(context.Background(), []*Circuit{good, bad, good}, []Params{DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("good circuits failed: %v / %v", results[0].Err, results[2].Err)
+	if cells[0].Err != nil || cells[2].Err != nil {
+		t.Errorf("good circuits failed: %v / %v", cells[0].Err, cells[2].Err)
 	}
-	if results[1].Err == nil {
+	if cells[1].Err == nil {
 		t.Error("non-FT circuit did not report an error")
-	}
-}
-
-func TestSweepBadGeneratorName(t *testing.T) {
-	results, err := SweepNamed(context.Background(), []string{"8bitadder", "no-such-bench"}, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != nil {
-		t.Errorf("8bitadder failed: %v", results[0].Err)
-	}
-	if results[1].Err == nil {
-		t.Error("unknown generator name did not report an error")
 	}
 }
 
@@ -137,35 +99,35 @@ func TestSweepCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Sweep(ctx, []*Circuit{c, c, c}, DefaultParams())
+	cells, err := SweepGrid(ctx, []*Circuit{c, c, c}, []Params{DefaultParams()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3 (every slot must be accounted for)", len(results))
+	if len(cells) != 3 {
+		t.Fatalf("got %d cells, want 3 (every slot must be accounted for)", len(cells))
 	}
-	for i, sr := range results {
-		if sr.Index != i || sr.Name != c.Name {
-			t.Errorf("slot %d: index %d name %q", i, sr.Index, sr.Name)
+	for i, cell := range cells {
+		if cell.CircuitIndex != i || cell.Name != c.Name {
+			t.Errorf("slot %d: index %d name %q", i, cell.CircuitIndex, cell.Name)
 		}
-		// The context was cancelled before Run, so no slot can have been
-		// estimated: each must carry the cancellation error.
-		if !errors.Is(sr.Err, context.Canceled) {
-			t.Errorf("slot %d: err = %v, want context.Canceled", i, sr.Err)
+		// The context was cancelled before the sweep, so no slot can have
+		// been estimated: each must carry the cancellation error.
+		if !errors.Is(cell.Err, context.Canceled) {
+			t.Errorf("slot %d: err = %v, want context.Canceled", i, cell.Err)
 		}
-		if sr.Result != nil {
+		if cell.Result != nil {
 			t.Errorf("slot %d carries a result despite pre-cancelled context", i)
 		}
 	}
 }
 
 func TestSweepEmptyInput(t *testing.T) {
-	results, err := Sweep(context.Background(), nil, DefaultParams())
+	cells, err := SweepGrid(context.Background(), nil, []Params{DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
-		t.Errorf("got %d results for empty input", len(results))
+	if len(cells) != 0 {
+		t.Errorf("got %d cells for empty input", len(cells))
 	}
 }
 
@@ -184,22 +146,30 @@ func TestRunnerSingleWorkerDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"8bitadder", "ham15"}
-	a, err := r.RunNamed(context.Background(), names)
+	var circuits []*Circuit
+	for _, name := range []string{"8bitadder", "ham15"} {
+		c, err := GenerateFT(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	params := []Params{DefaultParams()}
+	a, err := r.SweepGrid(context.Background(), circuits, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.RunNamed(context.Background(), names)
+	b, err := r.SweepGrid(context.Background(), circuits, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range names {
+	for i := range circuits {
 		if a[i].Err != nil || b[i].Err != nil {
 			t.Fatal(a[i].Err, b[i].Err)
 		}
 		if a[i].Result.EstimatedLatency != b[i].Result.EstimatedLatency {
 			t.Errorf("%s: runs disagree: %v vs %v",
-				names[i], a[i].Result.EstimatedLatency, b[i].Result.EstimatedLatency)
+				a[i].Name, a[i].Result.EstimatedLatency, b[i].Result.EstimatedLatency)
 		}
 	}
 }
